@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .correspondence import ApartmentVertex, intersect_maximal, verify_roundtrip
+from .dvr import check_prime
 from .errors import EnumerationLimitError, NegativeCycleError, SplitOrderError
 from .exponent import (
     ExponentMatrix,
@@ -62,10 +64,12 @@ class RunConfig:
             raise UsageError(
                 f"dimension range must satisfy 2 <= n <= {MAX_DIMENSION}"
             )
-        if self.prime < 2:
-            raise UsageError("prime must be at least 2")
-        if self.scale <= 0:
-            raise UsageError("scale must be positive")
+        try:
+            check_prime(self.prime)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise UsageError("scale must be a positive finite number")
 
 
 def _read_text(path: str) -> str:
@@ -174,8 +178,11 @@ def cmd_hijikata(cfg: RunConfig) -> int:
 def cmd_draw(cfg: RunConfig) -> int:
     nu = _load_matrix(cfg.input_path)
     svg = render_polytope_svg(nu, scale=cfg.scale, margin=cfg.margin)
-    with open(cfg.out_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise UsageError(f"cannot write {cfg.out_path}: {exc}") from exc
     print(f"wrote {cfg.out_path}", file=sys.stderr)
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,8 @@ INFINITE = math.inf  # valuation of zero
 _RationalLike = Union[int, str, Fraction]
 
 
-def _check_prime(p: int) -> int:
+def check_prime(p: int) -> int:
+    """p as an int; raises ValueError unless it is a prime."""
     p = int(p)
     if p < 2:
         raise ValueError(f"prime must be >= 2, got {p}")
@@ -62,7 +64,7 @@ def _int_valuation(x: int, p: int):
 
 def rational_valuation(value: _RationalLike, prime: int):
     """p-adic valuation of an exact rational; zero has infinite valuation."""
-    prime = _check_prime(prime)
+    prime = check_prime(prime)
     f = Fraction(value)
     if f == 0:
         return INFINITE
@@ -81,7 +83,7 @@ class LocalScalar:
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
-        object.__setattr__(self, "prime", _check_prime(self.prime))
+        object.__setattr__(self, "prime", check_prime(self.prime))
 
     def valuation(self):
         return rational_valuation(self.value, self.prime)
@@ -125,30 +127,99 @@ class LocalScalar:
         return f"{self.value} (v_{self.prime} = {self.valuation()})"
 
 
+def _first_nonzero(a: list, k: int) -> Optional[tuple[int, int]]:
+    """Pivot policy: the first nonzero entry of column k at or below row k."""
+    for r in range(k, len(a)):
+        if a[r][k]:
+            return r, k
+    return None
+
+
+def _least_valuation(p: int, full: bool):
+    """Pivot policy: the entry of least valuation in column k at or below
+    row k, or in the whole trailing submatrix when ``full``; ties go to the
+    lowest row, then the lowest column."""
+
+    def choose(a: list, k: int) -> Optional[tuple[int, int]]:
+        best, best_v = None, INFINITE
+        cols = range(k, len(a)) if full else (k,)
+        for r in range(k, len(a)):
+            for c in cols:
+                v = _int_valuation(a[r][c], p)
+                if v < best_v:
+                    best, best_v = (r, c), v
+        return best
+
+    return choose
+
+
+def _eliminate(a: list, choose, jordan: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of the integer rows ``a``, in place.
+
+    Step k asks ``choose(a, k)`` for a pivot in the trailing submatrix,
+    swaps it to (k, k), and replaces every row below k (every other row
+    when ``jordan``) by (pivot * row - row[k] * pivot_row) / previous
+    pivot.  Each division is exact, and the pivot of step k is the leading
+    (k + 1)-minor of the permuted matrix, so all entries of the trailing
+    submatrix share the factor 1 / minor_k over the ordinary Gauss values;
+    valuation-based pivot choices are therefore the same as in plain
+    elimination.  Returns the minors, stopping when ``choose`` finds no
+    nonzero pivot, and the sign of the row and column permutation.
+    """
+    n = len(a)
+    minors: list[int] = []
+    sign = 1
+    prev = 1
+    for k in range(n):
+        at = choose(a, k)
+        if at is None:
+            break
+        r, c = at
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        if c != k:
+            for row in a:
+                row[k], row[c] = row[c], row[k]
+            sign = -sign
+        pivot_row = a[k]
+        pk = pivot_row[k]
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        minors.append(pk)
+        prev = pk
+    return minors, sign
+
+
 class LocalMatrix:
     """Square matrix of exact rationals sharing one prime.
 
     Entries are kept as one integer numerator matrix over a common
-    positive denominator; the pair is not reduced eagerly, and equality
-    compares cross products, so values are exact regardless of form.
+    positive denominator, always in lowest terms: the gcd of the
+    denominator and every numerator is 1.  That form is unique, so
+    equality and hashing compare it directly.
     """
 
     __slots__ = ("n", "prime", "nums", "den")
 
     def __init__(self, rows: Sequence[Sequence[_RationalLike]], prime: int):
-        p = _check_prime(prime)
-        fracs = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(fracs)
-        if n == 0 or any(len(row) != n for row in fracs):
+        p = check_prime(prime)
+        rows = [tuple(row) for row in rows]
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        den = 1
-        for row in fracs:
-            for f in row:
-                den = den * f.denominator // math.gcd(den, f.denominator)
-        nums = tuple(
-            tuple(int(f.numerator * (den // f.denominator)) for f in row)
-            for row in fracs
-        )
+        if all(type(x) is int for row in rows for x in row):
+            den, nums = 1, tuple(rows)
+        else:
+            # the lcm of reduced denominators leaves the pair in lowest terms
+            fracs = [[Fraction(x) for x in row] for row in rows]
+            den = math.lcm(*(f.denominator for row in fracs for f in row))
+            nums = tuple(
+                tuple(f.numerator * (den // f.denominator) for f in row)
+                for row in fracs
+            )
         self.n = n
         self.prime = p
         self.nums = nums
@@ -160,10 +231,16 @@ class LocalMatrix:
     ) -> "LocalMatrix":
         if den < 1:
             raise ValueError("denominator must be positive")
+        nums = tuple(map(tuple, nums))
+        if den > 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(nums))
+            if g > 1:
+                den //= g
+                nums = tuple([tuple([x // g for x in row]) for row in nums])
         obj = object.__new__(cls)
         obj.n = len(nums)
         obj.prime = prime
-        obj.nums = tuple(tuple(row) for row in nums)
+        obj.nums = nums
         obj.den = den
         return obj
 
@@ -216,11 +293,8 @@ class LocalMatrix:
 
     def is_integral(self) -> bool:
         """Whether every entry lies in the valuation ring."""
-        vden = _int_valuation(self.den, self.prime)
-        if vden == 0:
-            return True
-        pk = self.prime**vden
-        return all(x % pk == 0 for row in self.nums for x in row)
+        # in lowest terms, p | den leaves some numerator prime to p
+        return self.den % self.prime != 0
 
     def is_diagonal(self) -> bool:
         return all(
@@ -240,15 +314,11 @@ class LocalMatrix:
 
     def __matmul__(self, other: "LocalMatrix") -> "LocalMatrix":
         self._require_compatible(other)
-        n = self.n
-        a = self.nums
-        b = other.nums
-        rows = []
-        for i in range(n):
-            ai = a[i]
-            rows.append(
-                tuple(sum(ai[k] * b[k][j] for k in range(n)) for j in range(n))
-            )
+        cols = list(zip(*other.nums))
+        rows = [
+            tuple([sum(map(operator.mul, row, col)) for col in cols])
+            for row in self.nums
+        ]
         return LocalMatrix._from_raw(rows, self.den * other.den, self.prime)
 
     def __add__(self, other: "LocalMatrix") -> "LocalMatrix":
@@ -279,77 +349,41 @@ class LocalMatrix:
         )
 
     def det(self) -> Fraction:
-        n = self.n
-        work = [[Fraction(x, self.den) for x in row] for row in self.nums]
-        sign = 1
-        result = Fraction(1)
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                sign = -sign
-            pivot = work[col][col]
-            result *= pivot
-            for r in range(col + 1, n):
-                if work[r][col]:
-                    f = work[r][col] / pivot
-                    row = work[r]
-                    prow = work[col]
-                    for c in range(col, n):
-                        row[c] -= f * prow[c]
-        return result * sign
+        minors, sign = _eliminate([list(row) for row in self.nums], _first_nonzero)
+        if len(minors) < self.n:
+            return Fraction(0)
+        return Fraction(sign * minors[-1], self.den**self.n)
 
     def inverse(self) -> "LocalMatrix":
-        """Exact inverse; raises SingularInputError when the determinant is zero."""
+        """Exact inverse; raises SingularInputError when the determinant is zero.
+
+        Fraction-free Gauss-Jordan on [N | I] ends at [d I | d N^(-1)] with
+        d = +-det N, so the inverse of N / den is den (d N^(-1)) / d.
+        """
         n = self.n
-        work = [[Fraction(x, self.den) for x in row] for row in self.nums]
-        aug = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)
+        a = [
+            list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(self.nums)
         ]
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise SingularInputError("matrix is singular")
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            pivot = work[col][col]
-            if pivot != 1:
-                inv = 1 / pivot
-                work[col] = [x * inv for x in work[col]]
-                aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return LocalMatrix(aug, self.prime)
+        minors, _ = _eliminate(a, _first_nonzero, jordan=True)
+        if len(minors) < n:
+            raise SingularInputError("matrix is singular")
+        d = minors[-1]
+        scale = self.den if d > 0 else -self.den
+        rows = [[scale * x for x in row[n:]] for row in a]
+        return LocalMatrix._from_raw(rows, abs(d), self.prime)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocalMatrix):
             return NotImplemented
-        if self.n != other.n or self.prime != other.prime:
-            return False
-        da, db = self.den, other.den
-        return all(
-            x * db == y * da
-            for ra, rb in zip(self.nums, other.nums)
-            for x, y in zip(ra, rb)
+        return (
+            self.prime == other.prime
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.prime, self.fractions()))
+        return hash((self.prime, self.den, self.nums))
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -444,15 +478,6 @@ class HermiteForm:
         return self.matrix.is_diagonal()
 
 
-def _canonical_residue(value: Fraction, modulus: int) -> int:
-    # modulus is a prime power; value must lie in the valuation ring
-    if modulus == 1:
-        return 0
-    num = value.numerator % modulus
-    den = value.denominator % modulus
-    return num * pow(den, -1, modulus) % modulus
-
-
 def hermite_normal_form(xi: LocalMatrix) -> tuple[HermiteForm, LocalMatrix]:
     """Canonical triangular form H of an integral invertible matrix.
 
@@ -469,62 +494,42 @@ def hermite_normal_form(xi: LocalMatrix) -> tuple[HermiteForm, LocalMatrix]:
     if not xi.is_integral():
         raise NonIntegralInputError("triangular form needs integral entries")
     n = xi.n
-    a = [list(row) for row in xi.fractions()]
-    u = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
-
-    def row_sub(target, source, factor):
-        for c in range(n):
-            if source[c]:
-                target[c] -= factor * source[c]
-
-    for col in range(n):
-        best_row = None
-        best_val = None
-        for r in range(col, n):
-            if a[r][col] == 0:
-                continue
-            v = rational_valuation(a[r][col], p)
-            if best_val is None or v < best_val:
-                best_row, best_val = r, v
-        if best_row is None:
-            raise SingularInputError("matrix is singular")
-        if best_row != col:
-            a[col], a[best_row] = a[best_row], a[col]
-            u[col], u[best_row] = u[best_row], u[col]
-        pivot = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] / pivot
-                row_sub(a[r], a[col], f)
-                row_sub(u[r], u[col], f)
-
-    exponents = []
-    for i in range(n):
-        v = rational_valuation(a[i][i], p)
-        exponents.append(int(v))
-        unit = a[i][i] / Fraction(p) ** int(v)
-        if unit != 1:
-            inv = 1 / unit
-            a[i] = [x * inv for x in a[i]]
-            u[i] = [x * inv for x in u[i]]
-
-    for j in range(1, n):
-        modulus = p ** exponents[j]
-        pivot = Fraction(p) ** exponents[j]
-        for i in range(j):
-            if a[i][j] == 0:
-                continue
-            r = _canonical_residue(a[i][j], modulus)
-            c = (a[i][j] - r) / pivot
-            if c:
-                row_sub(a[i], a[j], c)
-                row_sub(u[i], u[j], c)
-                a[i][j] = Fraction(r)
-
-    form = HermiteForm(LocalMatrix(a, p), tuple(exponents))
-    return form, LocalMatrix(u, p)
+    a = [list(row) for row in xi.nums]
+    minors = _eliminate(a, _least_valuation(p, full=False))[0]
+    if len(minors) < n:
+        raise SingularInputError("matrix is singular")
+    # Row i of the echelon form over O is a[i] / (minor_i den) with diagonal
+    # minor_(i+1) / (minor_i den); den is a unit here, so its diagonal
+    # exponent is v(minor_(i+1)) - v(minor_i).
+    vals = [0] + [_int_valuation(m, p) for m in minors]
+    exponents = tuple(vals[i + 1] - vals[i] for i in range(n))
+    # Entries of column j are residues mod p^(e_j), and reducing a row
+    # against the rows below it loses e_j digits of precision in column
+    # j, so working mod p^(sum e) determines every residue exactly.
+    modulus = p ** sum(exponents)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for i in reversed(range(n)):
+        # row i scaled to diagonal p^(e_i) is a[i] p^(e_i) / minor_(i+1),
+        # that is (a[i] / p^v(minor_i)) / unit part of minor_(i+1)
+        shift = p ** vals[i]
+        unit_inv = pow(minors[i] // p ** vals[i + 1], -1, modulus)
+        w = [0] * n
+        w[i] = p ** exponents[i]
+        for c in range(i + 1, n):
+            w[c] = a[i][c] // shift * unit_inv % modulus
+        for j in range(i + 1, n):
+            q = p ** exponents[j]
+            r = w[j] % q
+            coeff = (w[j] - r) // q
+            if coeff:
+                hj = rows[j]
+                for c in range(j + 1, n):
+                    w[c] = (w[c] - coeff * hj[c]) % modulus
+            w[j] = r
+        rows[i] = w
+    H = LocalMatrix._from_raw(rows, 1, p)
+    # the transform is unique: H xi^(-1)
+    return HermiteForm(H, exponents), H @ xi.inverse()
 
 
 def diagonal_witness(form: HermiteForm) -> LocalMatrix:
@@ -566,46 +571,42 @@ def elementary_divisors(L: LocalMatrix, Lp: LocalMatrix) -> tuple[int, ...]:
     L._require_compatible(Lp)
     p = L.prime
     M = L.inverse() @ Lp
-    n = M.n
-    work = [list(row) for row in M.fractions()]
-    exponents = []
-    for t in range(n):
-        best = None
-        best_val = None
-        for r in range(t, n):
-            for c in range(t, n):
-                if work[r][c] == 0:
-                    continue
-                v = rational_valuation(work[r][c], p)
-                if best_val is None or v < best_val:
-                    best, best_val = (r, c), v
-        if best is None:
-            raise SingularInputError("lattice basis is singular")
-        r, c = best
-        if r != t:
-            work[t], work[r] = work[r], work[t]
-        if c != t:
-            for row in work:
-                row[t], row[c] = row[c], row[t]
-        pivot = work[t][t]
-        exponents.append(int(best_val))
-        for r2 in range(t + 1, n):
-            if work[r2][t]:
-                f = work[r2][t] / pivot
-                work[r2] = [x - f * y for x, y in zip(work[r2], work[t])]
-        for c2 in range(t + 1, n):
-            if work[t][c2]:
-                f = work[t][c2] / pivot
-                for row in work:
-                    row[c2] -= f * row[t]
-    return tuple(sorted(exponents))
+    a = [list(row) for row in M.nums]
+    minors = _eliminate(a, _least_valuation(p, full=True))[0]
+    if len(minors) < M.n:
+        raise SingularInputError("lattice basis is singular")
+    # the t-th pivot of plain elimination on M is minor_(t+1) / (minor_t den)
+    vden = _int_valuation(M.den, p)
+    vals = [0] + [_int_valuation(m, p) for m in minors]
+    return tuple(sorted(vals[t + 1] - vals[t] - vden for t in range(M.n)))
 
 
-def _unit_numerator(rng: random.Random, p: int, bound: int) -> int:
-    while True:
-        u = rng.randint(1, bound)
-        if u % p:
-            return u
+def _sharp_sampler(nu: ExponentMatrix, p: int):
+    """Draw function for elements of S(nu) with entry valuations exactly nu.
+
+    Each entry is a unit numerator, drawn uniformly from [1, p^4] coprime
+    to p (``randrange(1, p^4 + 1)`` is the stream of ``randint(1, p^4)``),
+    scaled by p^{nu[i][j]}; entries are drawn row by row.
+    """
+    stop = p**4 + 1
+    shift = max(0, -min(x for row in nu.entries for x in row))
+    den = p**shift
+    scales = [[p ** (e + shift) for e in row] for row in nu.entries]
+
+    def sample(rng: random.Random) -> LocalMatrix:
+        draw = rng.randrange
+        rows = []
+        for row in scales:
+            out = []
+            for s in row:
+                u = draw(1, stop)
+                while u % p == 0:
+                    u = draw(1, stop)
+                out.append(u * s)
+            rows.append(out)
+        return LocalMatrix._from_raw(rows, den, p)
+
+    return sample
 
 
 def sample_split_order_element(
@@ -616,15 +617,7 @@ def sample_split_order_element(
     Each entry is a unit numerator, drawn uniformly from [1, p^4] coprime
     to p, scaled by p^{nu[i][j]}.
     """
-    p = _check_prime(prime)
-    bound = p**4
-    shift = max(0, -min(x for row in nu.entries for x in row))
-    den = p**shift
-    rows = [
-        [_unit_numerator(rng, p, bound) * p ** (e + shift) for e in row]
-        for row in nu.entries
-    ]
-    return LocalMatrix._from_raw(rows, den, p)
+    return _sharp_sampler(nu, check_prime(prime))(rng)
 
 
 def ring_closure_check(
@@ -642,7 +635,7 @@ def ring_closure_check(
     from the first violated triple (i, k, j) as p^{nu[i][k]} E(i, k) and
     p^{nu[k][j]} E(k, j).
     """
-    p = _check_prime(prime)
+    p = check_prime(prime)
     violation = first_violation(nu)
     if violation is not None:
         i, k, j = violation
@@ -650,9 +643,10 @@ def ring_closure_check(
         B = LocalMatrix.matrix_unit(nu.n, k, j, p, exponent=nu.entries[k][j])
         return (A, B)
     rng = random.Random(seed)
+    sample = _sharp_sampler(nu, p)
     for _ in range(trials):
-        A = sample_split_order_element(nu, rng, p)
-        B = sample_split_order_element(nu, rng, p)
+        A = sample(rng)
+        B = sample(rng)
         if not in_split_order(A @ B, nu):
             return (A, B)
     return True

@@ -37,6 +37,7 @@ from .correspondence import (
 from .dvr import (
     LocalMatrix,
     LocalScalar,
+    check_prime,
     conjugate,
     diagonal_witness,
     elementary_divisors,
@@ -92,6 +93,7 @@ class FuzzConfig:
             raise ValueError("need 2 <= n_min <= n_max")
         if self.n_max > 6:
             raise ValueError("dimensions above 6 are not supported")
+        check_prime(self.prime)
 
 
 @dataclass(frozen=True)

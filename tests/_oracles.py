@@ -85,3 +85,68 @@ def incidence_by_shift(u, v):
         if all(s in (0, 1) for s in shifted) and len(set(shifted)) == 2:
             return True
     return False
+
+
+def frac_gauss_jordan(rows):
+    """(det, inverse) of a square matrix by Fraction Gauss-Jordan elimination.
+
+    The inverse is None when the determinant is zero.  Pivots are the
+    first nonzero entry in each column, and nothing is reduced modulo
+    anything, so the result is the plain textbook computation.
+    """
+    from fractions import Fraction
+
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det, [row[n:] for row in a]
+
+
+def frac_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def padic_valuation(x, p):
+    """Exponent of p in a nonzero rational given as a Fraction."""
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def divisors_by_minors(rows, p):
+    """Elementary divisor exponents from the determinantal divisors.
+
+    The k-th determinantal divisor is the least valuation of a k x k
+    minor; the divisor exponents are its successive differences.
+    """
+    n = len(rows)
+    least = [0]
+    for k in range(1, n + 1):
+        vals = []
+        for rs in itertools.combinations(range(n), k):
+            for cs in itertools.combinations(range(n), k):
+                d, _ = frac_gauss_jordan([[rows[r][c] for c in cs] for r in rs])
+                if d != 0:
+                    vals.append(padic_valuation(d, p))
+        least.append(min(vals))
+    return tuple(least[k] - least[k - 1] for k in range(1, n + 1))

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from splitorders.cli import RunConfig, UsageError, main
+from splitorders.fuzz import FuzzConfig
 
 NU = {"n": 3, "nu": [[0, 0, 1], [3, 0, 1], [3, 2, 0]]}
 NU_PRIME = {"n": 3, "nu": [[0, 0, 2], [3, 0, 1], [3, 2, 0]]}
@@ -191,6 +192,32 @@ def test_draw_rejects_two_by_two(tmp_path, capsys):
     path.write_text("[[0, 1], [1, 0]]")
     assert main(["draw", str(path), "--out", str(tmp_path / "x.svg")]) == 1
     capsys.readouterr()
+
+
+def test_draw_unwritable_output_exits_two(nu_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    assert main(["draw", nu_file, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_draw_rejects_non_finite_scale(nu_file, tmp_path, capsys, scale):
+    target = tmp_path / "x.svg"
+    assert main(["draw", nu_file, "--out", str(target), "--scale", scale]) == 2
+    assert capsys.readouterr().err == "error: scale must be a positive finite number\n"
+    assert not target.exists()
+
+
+def test_fuzz_rejects_non_prime(capsys):
+    assert main(["fuzz", "--prime", "4", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 4 is not prime\n"
+    with pytest.raises(ValueError):
+        FuzzConfig(prime=4)
 
 
 def test_fuzz_small_run(capsys):
