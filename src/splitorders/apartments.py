@@ -10,7 +10,6 @@ not change under the transport at all.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .correspondence import ApartmentVertex, intersect_maximal
@@ -156,7 +155,7 @@ def intersect_in_apartment(
 
 def lattice_basis(v: ApartmentVertex, prime: int) -> LocalMatrix:
     """Diagonal basis matrix diag(p^{m_i}) of the lattice at vertex v."""
-    return LocalMatrix.diagonal([Fraction(prime) ** e for e in v.m], prime)
+    return LocalMatrix.power_diagonal(v.m, prime)
 
 
 def incident_lattices(L: LocalMatrix, Lp: LocalMatrix) -> bool:

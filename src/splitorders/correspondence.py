@@ -13,10 +13,11 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, EmptyVertexListError
-from .exponent import ExponentMatrix, order_hull
+from .exponent import ExponentMatrix, int_tuple, order_hull
 from .polytope import (
     DEFAULT_POINT_LIMIT,
     enumerate_lattice_points,
@@ -31,13 +32,24 @@ class ApartmentVertex:
     __slots__ = ("m",)
 
     def __init__(self, coords: Iterable[int]):
-        m = tuple(int(x) for x in coords)
+        m = int_tuple(coords)
         if len(m) < 2:
             raise ValueError("vertex needs at least 2 coordinates")
         if m[0] != 0:
             base = m[0]
             m = tuple(x - base for x in m)
         self.m = m
+
+    @classmethod
+    def _trusted(cls, tuples: Iterable[tuple[int, ...]]) -> list["ApartmentVertex"]:
+        """Vertices at tuples of plain ints with first coordinate 0, unchecked."""
+        new = object.__new__
+        vertices = []
+        for m in tuples:
+            v = new(cls)
+            v.m = m
+            vertices.append(v)
+        return vertices
 
     @property
     def n(self) -> int:
@@ -73,16 +85,14 @@ def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
     Raises EmptyVertexListError on an empty family and
     DimensionMismatchError when the vertices disagree on n.
     """
-    vs = list(vertices)
-    if not vs:
+    ms = [v.m for v in vertices]
+    if not ms:
         raise EmptyVertexListError("intersection over an empty vertex family")
-    n = vs[0].n
-    if any(v.n != n for v in vs):
+    if len(set(map(len, ms))) > 1:
         raise DimensionMismatchError("vertices of different dimension")
-    entries = [
-        [max(v.m[i] - v.m[j] for v in vs) for j in range(n)] for i in range(n)
-    ]
-    return ExponentMatrix(entries)
+    # column i holds coordinate i of every vertex
+    cols = list(zip(*ms))
+    return ExponentMatrix([[max(map(sub, ci, cj)) for cj in cols] for ci in cols])
 
 
 def maximal_orders_containing(
@@ -96,7 +106,7 @@ def maximal_orders_containing(
     entrywise comparison of exponent matrices.
     """
     points = enumerate_lattice_points(polytope_of(nu), max_points=max_points)
-    return [ApartmentVertex(p.coords) for p in points]
+    return ApartmentVertex._trusted(p.coords for p in points)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ closed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -39,16 +40,49 @@ INFINITE = math.inf  # valuation of zero
 _RationalLike = Union[int, str, Fraction]
 
 
+# The least strong pseudoprime to all of the first 13 prime bases (2 to 41)
+# is 3317044064679887385961981 (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", 2017), so Miller-Rabin with these bases decides
+# primality exactly below it.  Twelve bases would not do: 318665857834031151167461
+# is a strong pseudoprime to every prime base up to 37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+_SMALL_PRIMES = frozenset(_MR_BASES)
+
+
+@functools.lru_cache(maxsize=64)
+def _miller_rabin(p: int) -> bool:
+    """Deterministic primality of an odd p > 2, not a base, below PRIME_BOUND."""
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def check_prime(p: int) -> int:
-    """p as an int; raises ValueError unless it is a prime."""
+    """p as an int; raises ValueError unless it is a prime below PRIME_BOUND."""
+    if type(p) is int and p in _SMALL_PRIMES:
+        return p
     p = int(p)
     if p < 2:
         raise ValueError(f"prime must be >= 2, got {p}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"{p} is not prime")
-        d += 1
+    if p >= PRIME_BOUND:
+        raise ValueError(f"prime must be below {PRIME_BOUND}, got {p}")
+    if p in _SMALL_PRIMES:
+        return p
+    if p % 2 == 0 or not _miller_rabin(p):
+        raise ValueError(f"{p} is not prime")
     return p
 
 
@@ -256,14 +290,30 @@ class LocalMatrix:
         )
 
     @classmethod
+    def power_diagonal(cls, exponents: Sequence[int], prime: int) -> "LocalMatrix":
+        """diag(p^e_1, ..., p^e_n), built from integers."""
+        p = check_prime(prime)
+        n = len(exponents)
+        if n == 0:
+            raise ValueError("matrix must be square and nonempty")
+        shift = max(0, -min(exponents))
+        rows = [[0] * n for _ in range(n)]
+        for i, e in enumerate(exponents):
+            rows[i][i] = p ** (e + shift)
+        return cls._from_raw(rows, p**shift, p)
+
+    @classmethod
     def matrix_unit(
         cls, n: int, i: int, j: int, prime: int, exponent: int = 0
     ) -> "LocalMatrix":
         """p^exponent times the matrix unit E(i, j)."""
-        value = Fraction(prime) ** exponent
+        p = check_prime(prime)
         rows = [[0] * n for _ in range(n)]
-        rows[i][j] = value
-        return cls(rows, prime)
+        if exponent >= 0:
+            rows[i][j] = p**exponent
+            return cls._from_raw(rows, 1, p)
+        rows[i][j] = 1
+        return cls._from_raw(rows, p**-exponent, p)
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.nums[i][j], self.den)

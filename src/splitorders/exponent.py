@@ -15,7 +15,8 @@ by all-pairs minimal path sums over the complete digraph whose arc
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import operator
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     NegativeCycleError,
@@ -23,6 +24,37 @@ from .errors import (
     NotAnOrderError,
     UnsupportedDimensionError,
 )
+
+
+_INT_ONLY = frozenset([int])
+
+
+def _as_int(x) -> int:
+    """x as an int; integral floats convert, other non-integers raise."""
+    if type(x) is float:
+        if x.is_integer():
+            return int(x)
+        raise ValueError(f"entry {x!r} is not an integer")
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise TypeError(f"entry {x!r} is not an integer")
+
+
+def int_tuple(values: Iterable) -> tuple[int, ...]:
+    """Values as a tuple of ints, without truncation.
+
+    Accepts ints, integral finite floats and integer-like objects (those
+    with ``__index__``); raises TypeError on bools, strings and other
+    types, and ValueError on non-integral or non-finite floats.  A tuple
+    of plain ints passes through after one type scan.
+    """
+    t = tuple(values)
+    if _INT_ONLY.issuperset(map(type, t)):
+        return t
+    return tuple(map(_as_int, t))
 
 
 class ExponentMatrix:
@@ -35,7 +67,7 @@ class ExponentMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(map(int_tuple, entries))
         n = len(rows)
         if n < 2:
             raise ValueError(f"exponent matrix needs dimension >= 2, got {n}")

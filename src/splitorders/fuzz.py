@@ -14,6 +14,7 @@ the driver does not trust the closure routines it is auditing.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,21 +176,22 @@ def random_local_matrix(
 def random_unit_matrix(
     rng: random.Random, n: int, prime: int, steps: int = 4
 ) -> LocalMatrix:
-    """Random element of GL_n(O): product of integral elementary operations."""
+    """Random element of GL_n(O): product of integral elementary operations.
+
+    Each step right-multiplies by an elementary matrix, applied as a column
+    operation: I + c E(i, j) adds c times column i to column j, a diagonal
+    of units scales the columns, and the permutation matrix with ones at
+    (r, perm[r]) moves column r to column perm[r].
+    """
     p = prime
-    out = LocalMatrix.identity(n, p)
+    rows = [list(row) for row in LocalMatrix.identity(n, p).nums]
     for _ in range(steps):
         kind = rng.randrange(3)
         if kind == 0 and n >= 2:
             i, j = rng.sample(range(n), 2)
             c = rng.randint(-p * p, p * p)
-            step = LocalMatrix(
-                [
-                    [1 if r == s else (c if (r, s) == (i, j) else 0) for s in range(n)]
-                    for r in range(n)
-                ],
-                p,
-            )
+            for row in rows:
+                row[j] += c * row[i]
         elif kind == 1:
             units = []
             for _ in range(n):
@@ -197,15 +199,16 @@ def random_unit_matrix(
                 while w % p == 0:
                     w = rng.randint(1, p * p)
                 units.append(w if rng.random() < 0.5 else -w)
-            step = LocalMatrix.diagonal(units, p)
+            rows = [list(map(operator.mul, row, units)) for row in rows]
         else:
             perm = list(range(n))
             rng.shuffle(perm)
-            step = LocalMatrix(
-                [[1 if perm[r] == s else 0 for s in range(n)] for r in range(n)], p
-            )
-        out = out @ step
-    return out
+            moved = [[0] * n for _ in range(n)]
+            for new_row, row in zip(moved, rows):
+                for r, x in zip(perm, row):
+                    new_row[r] = x
+            rows = moved
+    return LocalMatrix._from_raw(rows, 1, p)
 
 
 def random_change_of_basis(
@@ -213,8 +216,8 @@ def random_change_of_basis(
 ) -> LocalMatrix:
     """Random invertible matrix over the field: units mixed with diagonal p powers."""
     out = random_unit_matrix(rng, n, prime, steps=steps)
-    powers = [Fraction(prime) ** rng.randint(-2, 2) for _ in range(n)]
-    return out @ LocalMatrix.diagonal(powers, prime)
+    powers = [rng.randint(-2, 2) for _ in range(n)]
+    return out @ LocalMatrix.power_diagonal(powers, prime)
 
 
 def random_triangular_form(
@@ -497,9 +500,10 @@ def _check_max_difference_enumeration(rng, config):
                     "nonempty region enumerated no points",
                     input=nu.to_json_dict(),
                 )
+            cols = list(zip(*(p.coords for p in points)))
             for i in range(n):
                 for j in range(n):
-                    brute = max(p.coords[i] - p.coords[j] for p in points)
+                    brute = max(map(operator.sub, cols[i], cols[j]))
                     if max_difference(P, i, j) != brute:
                         return used, _plain_failure(
                             "max-difference-enumeration",
@@ -548,11 +552,12 @@ def _check_vertex_intersection(rng, config):
             family = [random_vertex(rng, n) for _ in range(rng.randint(1, 6))]
             mu = intersect_maximal(family)
             vertices = maximal_orders_containing(mu)
+            members = {v.m for v in vertices}
             sub = intersect_maximal(family[: max(1, len(family) - 1)])
             ok = (
                 is_order(mu)
                 and is_reduced(mu)
-                and all(v in vertices for v in family)
+                and all(v.m in members for v in family)
                 and intersect_maximal(vertices) == mu
                 and all(
                     sub.entries[i][j] <= mu.entries[i][j]
@@ -648,7 +653,7 @@ def _check_integral_conjugation(rng, config):
         p = (2, 3, 5)[t % 3]
         n = rng.randint(2, 3)
         v = random_vertex(rng, n, -3, 3)
-        xi = LocalMatrix.diagonal([Fraction(p) ** (-e) for e in v.m], p)
+        xi = LocalMatrix.power_diagonal([-e for e in v.m], p)
         A = random_integral_matrix(rng, n, p)
         if not lambda_membership(conjugate(xi, A), v):
             return trials, _plain_failure(
@@ -658,16 +663,19 @@ def _check_integral_conjugation(rng, config):
                 prime=p,
             )
         member = random_local_matrix(rng, n, p, val_lo=0, val_hi=2)
-        # scale row i, column j to valuation >= m_i - m_j
-        rows = [
+        # scale row i, column j by p^(m_i - m_j), so its valuation is at
+        # least m_i - m_j; the common factor p^shift keeps numerators integral
+        m = v.m
+        shift = max(m) - min(m)
+        B = LocalMatrix._from_raw(
             [
-                member.entry(i, j) * Fraction(p) ** (v.m[i] - v.m[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        B = LocalMatrix(rows, p)
-        back = conjugate(LocalMatrix.diagonal([Fraction(p) ** e for e in v.m], p), B)
+                [x * p ** (mi - mj + shift) for x, mj in zip(row, m)]
+                for row, mi in zip(member.nums, m)
+            ],
+            member.den * p**shift,
+            p,
+        )
+        back = conjugate(LocalMatrix.power_diagonal(m, p), B)
         if not back.is_integral():
             return trials, _plain_failure(
                 "integral-conjugation",

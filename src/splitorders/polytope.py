@@ -14,10 +14,11 @@ minimal path sums in the arc-weighted digraph of ``nu``.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import EmptyPolytopeError, EnumerationLimitError
-from .exponent import ExponentMatrix, minplus_closure
+from .exponent import ExponentMatrix, int_tuple, minplus_closure
 
 DEFAULT_POINT_LIMIT = 10**6
 
@@ -28,7 +29,7 @@ class DifferencePolytope:
     __slots__ = ("n", "upper")
 
     def __init__(self, upper: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in upper)
+        rows = tuple(map(int_tuple, upper))
         n = len(rows)
         if n < 2 or any(len(row) != n for row in rows):
             raise ValueError("bound matrix must be square with n >= 2")
@@ -78,12 +79,23 @@ class LatticePoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[int]):
-        c = tuple(int(x) for x in coords)
+        c = int_tuple(coords)
         if len(c) < 2:
             raise ValueError("lattice point needs at least 2 coordinates")
         if c[0] != 0:
             raise ValueError(f"first coordinate must be 0, got {c[0]}")
         self.coords = c
+
+    @classmethod
+    def _trusted(cls, tuples: Iterable[tuple[int, ...]]) -> list["LatticePoint"]:
+        """Points at tuples of plain ints with first coordinate 0, unchecked."""
+        new = object.__new__
+        points = []
+        for c in tuples:
+            point = new(cls)
+            point.coords = c
+            points.append(point)
+        return points
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticePoint):
@@ -148,36 +160,34 @@ def enumerate_lattice_points(
         return []
     box = 1
     for i in range(1, n):
-        lo, hi = -u[0][i], u[i][0]
-        box *= hi - lo + 1
+        box *= u[i][0] + u[0][i] + 1
         if box > max_points:
             raise EnumerationLimitError(
                 f"bounding box has more than {max_points} cells"
             )
-    points: list[LatticePoint] = []
-    coords = [0] * n
+    # x_idx >= x_i - u[i][idx] and x_idx <= x_i + u[idx][i] for i < idx; the
+    # ranges use the declared bounds, not the closure, so that enumeration
+    # stays an independent check of max_difference
+    below = [[u[i][idx] for i in range(idx)] for idx in range(n)]
+    above = [u[idx][:idx] for idx in range(n)]
+    last = n - 1
+    points: list[tuple[int, ...]] = []
 
-    def extend(idx: int) -> None:
-        if idx == n:
-            points.append(LatticePoint(coords))
-            return
-        lo = -u[0][idx]
-        hi = u[idx][0]
-        uidx = u[idx]
-        for i in range(1, idx):
-            xi = coords[i]
-            b = xi - u[i][idx]
-            if b > lo:
-                lo = b
-            b = xi + uidx[i]
-            if b < hi:
-                hi = b
-        for x in range(lo, hi + 1):
-            coords[idx] = x
-            extend(idx + 1)
+    def extend(prefixes: list[tuple[int, ...]], idx: int) -> None:
+        # depth first, the children of one prefix built as one batch
+        b, a = below[idx], above[idx]
+        for prefix in prefixes:
+            children = [
+                prefix + (x,)
+                for x in range(max(map(sub, prefix, b)), min(map(add, prefix, a)) + 1)
+            ]
+            if idx == last:
+                points.extend(children)
+            elif children:
+                extend(children, idx + 1)
 
-    extend(1)
-    return points
+    extend([(0,)], 1)
+    return LatticePoint._trusted(points)
 
 
 def is_reduced(nu: ExponentMatrix) -> bool:

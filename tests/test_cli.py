@@ -247,3 +247,57 @@ def test_run_config_validation():
         RunConfig(subcommand="fuzz", prime=1)
     with pytest.raises(UsageError):
         RunConfig(subcommand="draw", scale=0.0)
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ("[[0, 1.7], [0.9, 0]]", "1.7"),
+        ('{"n": 2, "nu": [[0, 1e400], [0, 0]]}', "inf"),
+        ("[[0, true], [1, 0]]", "True"),
+        ('[[0, "2"], [1, 0]]', "'2'"),
+    ],
+)
+def test_non_integer_entries_exit_two(tmp_path, capsys, text, shown):
+    path = tmp_path / "nu.json"
+    path.write_text(text)
+    for command in ("check", "hull", "roundtrip"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: not an exponent matrix (entry {shown} is not an integer)\n"
+        )
+
+
+def test_integral_float_entries_read_as_integers(tmp_path, capsys):
+    path = tmp_path / "nu.json"
+    path.write_text("[[0, 2.0], [-1.0, 0]]")
+    assert main(["hull", str(path)]) == 0
+    assert capsys.readouterr().out == '{"n": 2, "nu": [[0, 2], [-1, 0]]}\n'
+
+
+@pytest.mark.parametrize("text", ["[[0, 1.5]]", "[[0, 1e400]]", "[[0, false]]"])
+def test_non_integer_vertex_coordinates_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "verts.json"
+    path.write_text(text)
+    assert main(["intersect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not a vertex list (entry ")
+    assert captured.err.count("\n") == 1
+
+
+def test_fuzz_accepts_a_large_prime(capsys):
+    assert main(["fuzz", "--prime", "2305843009213693951", "--trials", "3"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_fuzz_rejects_primes_beyond_the_bound(capsys):
+    assert main(["fuzz", "--prime", "3317044064679887385961981", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: prime must be below 3317044064679887385961981, "
+        "got 3317044064679887385961981\n"
+    )

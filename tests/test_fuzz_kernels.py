@@ -1,0 +1,415 @@
+"""The kernels under run_fuzz against independent references.
+
+Lattice-point enumeration is compared with a filtered scan of the full
+box, intersections of maximal orders with an entrywise maximum over the
+vertex exponent matrices, and the integer LocalMatrix builders with the
+same matrices built from Fractions.  Points and vertices built from
+trusted enumerator tuples must behave exactly like validated ones.  The
+golden tests pin the outputs and the random streams of the fuzz matrix
+generators, so ``fuzz --seed S`` keeps replaying the same inputs.
+"""
+
+import hashlib
+import itertools
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from splitorders.correspondence import (
+    ApartmentVertex,
+    intersect_maximal,
+    maximal_orders_containing,
+    maximal_order_exponents,
+    verify_roundtrip,
+)
+from splitorders.dvr import PRIME_BOUND, LocalMatrix, check_prime
+from splitorders.errors import (
+    DimensionMismatchError,
+    EmptyVertexListError,
+    EnumerationLimitError,
+    NegativeCycleError,
+)
+from splitorders.exponent import ExponentMatrix, has_containing_maximal, order_hull
+from splitorders.fuzz import random_change_of_basis, random_unit_matrix
+from splitorders.polytope import (
+    DifferencePolytope,
+    LatticePoint,
+    enumerate_lattice_points,
+    is_reduced,
+    polytope_of,
+)
+
+from _oracles import entrywise_max, naive_box_points
+
+PRIMES = (2, 3, 5)
+
+
+def _random_entries(rng, n, lo, hi):
+    return [[0 if i == j else rng.randint(lo, hi) for j in range(n)] for i in range(n)]
+
+
+def _matrices(seed, count_per_n, lo, hi):
+    rng = random.Random(seed)
+    for n in range(2, 6):
+        # n = 5 boxes grow as (hi - lo + 1)^4, so keep them few and small
+        count, top = (count_per_n // 3, min(hi, 3)) if n == 5 else (count_per_n, hi)
+        for _ in range(count):
+            yield ExponentMatrix(_random_entries(rng, n, lo, top))
+
+
+# ---------------------------------------------------------------------------
+# enumeration
+
+
+def _assert_enumeration_matches(nu):
+    points = enumerate_lattice_points(polytope_of(nu))
+    expected = naive_box_points(nu.entries)
+    assert [p.coords for p in points] == expected
+    assert [v.m for v in maximal_orders_containing(nu)] == expected
+    return expected
+
+
+def test_enumeration_matches_box_scan_on_random_matrices():
+    feasible = infeasible = 0
+    for nu in _matrices(11, 45, -3, 5):
+        points = _assert_enumeration_matches(nu)
+        if has_containing_maximal(nu):
+            feasible += 1
+            assert points
+            _assert_enumeration_matches(order_hull(nu))
+        else:
+            infeasible += 1
+            assert points == []
+    assert feasible > 20 and infeasible > 20
+
+
+def test_enumeration_matches_box_scan_on_feasible_non_orders():
+    # declared bounds looser than their closure: the box is wider than
+    # the region, and some prefixes extend to no point
+    rng = random.Random(12)
+    seen = 0
+    for _ in range(200):
+        n = rng.randint(3, 4)
+        nu = ExponentMatrix(_random_entries(rng, n, 0, 5))
+        if order_hull(nu) != nu:
+            seen += 1
+            _assert_enumeration_matches(nu)
+    assert seen > 50
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0, 0], [0, 0]],  # one point
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 2, -1], [-2, 0, -3], [1, 3, 0]],  # one vertex: m = (0, -2, 1)
+        [[0, 1, 2], [-1, 0, 3], [4, 1, 0]],  # x_2 = x_1 + 1 pinned: flat region
+        [[0, -1], [1, 0]],  # zero-width cycle
+        [[0, 0, 0, 0], [0, 0, 0, 0], [5, 5, 0, 5], [0, 0, 0, 0]],
+    ],
+)
+def test_enumeration_on_degenerate_regions(entries):
+    nu = ExponentMatrix(entries)
+    assert has_containing_maximal(nu)
+    assert _assert_enumeration_matches(nu)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0, -1], [0, 0]],
+        [[0, -3, 0], [0, 0, 1], [1, 1, 0]],
+        [[0, 100, 100], [100, 0, -201], [100, 100, 0]],  # huge box, empty
+    ],
+)
+def test_enumeration_of_empty_regions_is_empty(entries):
+    nu = ExponentMatrix(entries)
+    assert not has_containing_maximal(nu)
+    assert enumerate_lattice_points(polytope_of(nu), max_points=1) == []
+    assert maximal_orders_containing(nu, max_points=1) == []
+
+
+def test_enumeration_box_limit():
+    P = DifferencePolytope([[0, 3], [4, 0]])  # box of 8 cells
+    assert len(enumerate_lattice_points(P, max_points=8)) == 8
+    with pytest.raises(EnumerationLimitError):
+        enumerate_lattice_points(P, max_points=7)
+    # the limit counts the declared box, not the box of the closed bounds
+    nu = ExponentMatrix([[0, 9, 0], [9, 0, 0], [0, 0, 0]])  # 19 x 1 box, 1 point
+    assert [p.coords for p in enumerate_lattice_points(polytope_of(nu), max_points=19)] == [
+        (0, 0, 0)
+    ]
+    with pytest.raises(EnumerationLimitError):
+        enumerate_lattice_points(polytope_of(nu), max_points=18)
+    with pytest.raises(EnumerationLimitError):
+        maximal_orders_containing(nu, max_points=18)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_max_difference_check_catches_an_off_by_one_closure(monkeypatch, delta):
+    """The enumeration the check brute-forces over does not follow the closure.
+
+    The closure here is off by ``delta`` in entry (0, 1) and feeds both
+    ``max_difference`` and the emptiness test; enumeration keeps cutting
+    by the declared bounds, so the check sees the wrong maximum.
+    """
+    from splitorders import fuzz, polytope
+
+    config = fuzz.FuzzConfig(trials=60, seed=5)
+    assert fuzz._check_max_difference_enumeration(random.Random(5), config)[1] is None
+    real = polytope.minplus_closure
+
+    def off_by_one(upper):
+        closed = real(upper)
+        if closed is not None:
+            closed[0][1] += delta
+        return closed
+
+    monkeypatch.setattr(polytope, "minplus_closure", off_by_one)
+    _, failure = fuzz._check_max_difference_enumeration(random.Random(5), config)
+    assert failure is not None and "pair (0, 1)" in failure["note"]
+
+
+def test_roundtrip_report_matches_its_definition():
+    """Each field of the report is what its definition computes."""
+    for nu in _matrices(13, 30, -3, 5):
+        if not has_containing_maximal(nu):
+            with pytest.raises(NegativeCycleError):
+                verify_roundtrip(nu)
+            continue
+        report = verify_roundtrip(nu)
+        hull = order_hull(nu)
+        vertices = tuple(maximal_orders_containing(hull))
+        refix = intersect_maximal(vertices)
+        assert report.hull == hull
+        assert report.vertices == vertices
+        assert report.input_reduced == is_reduced(nu)
+        assert report.hull_fixed == (refix == hull)
+        assert report.reduced_fixed == ((not is_reduced(nu)) or refix == nu)
+
+
+# ---------------------------------------------------------------------------
+# intersection
+
+
+def _reference_intersection(coords_family):
+    return entrywise_max(
+        [
+            [list(row) for row in maximal_order_exponents(ApartmentVertex(c)).entries]
+            for c in coords_family
+        ]
+    )
+
+
+def test_intersection_matches_entrywise_max():
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        family = [
+            [rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 7))
+        ]
+        got = intersect_maximal([ApartmentVertex(c) for c in family])
+        assert [list(row) for row in got.entries] == _reference_intersection(family)
+
+
+def test_intersection_of_enumerated_vertices_matches_entrywise_max():
+    for nu in _matrices(22, 15, -2, 4):
+        vertices = maximal_orders_containing(nu)
+        if vertices:
+            got = intersect_maximal(vertices)
+            assert [list(row) for row in got.entries] == _reference_intersection(
+                [v.m for v in vertices]
+            )
+
+
+def test_intersection_accepts_any_iterable():
+    family = [ApartmentVertex([0, 1, 3]), ApartmentVertex([0, 2, -1])]
+    assert intersect_maximal(iter(family)) == intersect_maximal(family)
+    assert intersect_maximal(tuple(family)) == intersect_maximal(family)
+
+
+def test_intersection_errors():
+    with pytest.raises(EmptyVertexListError):
+        intersect_maximal([])
+    with pytest.raises(EmptyVertexListError):
+        intersect_maximal(iter(()))
+    for family in (
+        [[0, 1], [0, 1, 2]],
+        [[0, 1, 2], [0, 1]],
+        [[0, 1, 2], [0, 1, 2], [0, 1, 2, 3]],
+    ):
+        with pytest.raises(DimensionMismatchError):
+            intersect_maximal([ApartmentVertex(c) for c in family])
+
+
+# ---------------------------------------------------------------------------
+# trusted construction
+
+
+def test_enumerated_points_equal_validated_points():
+    nu = ExponentMatrix([[0, 0, 1, 2], [3, 0, 1, 2], [3, 2, 0, 1], [2, 2, 2, 0]])
+    points = enumerate_lattice_points(polytope_of(nu))
+    vertices = maximal_orders_containing(nu)
+    assert len(points) == len(vertices) > 10
+    for p, v in zip(points, vertices):
+        assert type(p) is LatticePoint and type(v) is ApartmentVertex
+        assert type(p.coords) is tuple and type(v.m) is tuple
+        assert all(type(x) is int for x in p.coords)
+        checked_p = LatticePoint(list(p.coords))
+        checked_v = ApartmentVertex(list(v.m))
+        assert p == checked_p and hash(p) == hash(checked_p)
+        assert v == checked_v and hash(v) == hash(checked_v)
+        assert repr(p) == repr(checked_p) and repr(v) == repr(checked_v)
+        assert list(p) == list(checked_p) and v.n == checked_v.n == 4
+    assert points == sorted(points)
+    assert vertices == sorted(vertices)
+    assert len(set(points)) == len(points)
+    assert set(vertices) == {ApartmentVertex(p.coords) for p in points}
+
+
+# ---------------------------------------------------------------------------
+# integer LocalMatrix builders
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_matrix_unit_matches_fraction_build(p):
+    for n in (1, 2, 3):
+        for i, j in itertools.product(range(n), repeat=2):
+            for e in range(-3, 4):
+                rows = [[0] * n for _ in range(n)]
+                rows[i][j] = Fraction(p) ** e
+                expected = LocalMatrix(rows, p)
+                got = LocalMatrix.matrix_unit(n, i, j, p, exponent=e)
+                assert got == expected
+                assert (got.nums, got.den) == (expected.nums, expected.den)
+                assert got.fractions() == expected.fractions()
+    assert LocalMatrix.matrix_unit(2, 0, 1, p) == LocalMatrix([[0, 1], [0, 0]], p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_power_diagonal_matches_fraction_build(p):
+    cases = [list(c) for c in itertools.product(range(-3, 4), repeat=2)]
+    rng = random.Random(p)
+    cases += [[rng.randint(-3, 3) for _ in range(n)] for n in (1, 3, 4) for _ in range(20)]
+    for exps in cases:
+        expected = LocalMatrix.diagonal([Fraction(p) ** e for e in exps], p)
+        got = LocalMatrix.power_diagonal(exps, p)
+        assert got == expected
+        assert (got.nums, got.den) == (expected.nums, expected.den)
+
+
+def test_integer_builders_validate():
+    with pytest.raises(ValueError):
+        LocalMatrix.power_diagonal([0, 1], 4)
+    with pytest.raises(ValueError):
+        LocalMatrix.power_diagonal([], 2)
+    with pytest.raises(ValueError):
+        LocalMatrix.matrix_unit(2, 0, 1, 9, exponent=-1)
+    with pytest.raises(IndexError):
+        LocalMatrix.matrix_unit(2, 2, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# golden generator streams, captured from the Fraction-built generators
+
+_GOLDEN = [
+    ("random_unit_matrix", 0, 2, 2, ((9, 0), (0, -3)), 1, 10326739782786242647),
+    ("random_unit_matrix", 1, 3, 2, ((0, 0, 1), (7, 3, 0), (2, 1, 0)), 1, 11205253249702154886),
+    ("random_unit_matrix", 2, 3, 3, ((1, 2, -2), (0, 0, 1), (0, 1, -1)), 1, 7944452632916890165),
+    ("random_unit_matrix", 3, 4, 5, ((441, 0, 0, 0), (0, 8, 0, -104), (0, 0, 272, 0), (0, 0, 0, -8)), 1, 2940409807404031313),
+    ("random_unit_matrix", 4, 1, 3, ((20,),), 1, 1085536589165212248),
+    ("random_unit_matrix", 5, 3, 5, ((0, 48, 0), (0, 0, -112), (-144, 0, 0)), 1, 16903588442734887601),
+    ("random_change_of_basis", 0, 2, 2, ((9, 0), (0, -6)), 1, 1857609452829537054),
+    ("random_change_of_basis", 1, 3, 2, ((0, 0, 1), (1, 24, 0), (0, 8, 0)), 4, 15417145005318368486),
+    ("random_change_of_basis", 2, 3, 3, ((54, 1, -18), (0, 0, 9), (27, 0, -9)), 3, 7259380703130999695),
+    ("random_change_of_basis", 3, 4, 5, ((-525, 0, 0, 0), (0, -1, 0, 104), (0, 0, 16, 0), (0, 0, 0, 8)), 5, 17078650019880908676),
+    ("random_change_of_basis", 4, 1, 3, ((-12,),), 1, 16933281752253045094),
+    ("random_change_of_basis", 5, 3, 5, ((0, 3750, 0), (0, 0, -16), (-1000, 0, 0)), 25, 4599339987076239173),
+]
+
+_GENERATORS = {
+    "random_unit_matrix": random_unit_matrix,
+    "random_change_of_basis": random_change_of_basis,
+}
+
+
+@pytest.mark.parametrize("name, seed, n, p, nums, den, after", _GOLDEN)
+def test_generator_golden_outputs(name, seed, n, p, nums, den, after):
+    rng = random.Random(seed)
+    M = _GENERATORS[name](rng, n, p)
+    assert (M.nums, M.den) == (nums, den)
+    assert rng.getrandbits(64) == after
+
+
+def test_generator_golden_stream():
+    rng = random.Random(11)
+    acc = []
+    for t in range(300):
+        n = 1 + t % 4
+        p = (2, 3, 5, 7)[t % 4 if t % 3 else 0]
+        fn = random_unit_matrix if t % 2 else random_change_of_basis
+        M = fn(rng, n, p, steps=1 + t % 6)
+        acc.append((M.n, M.prime, M.nums, M.den))
+    digest = hashlib.sha256(repr(acc).encode()).hexdigest()
+    assert digest == "f2563c15e6b85204eab2cd4fbf56c8435c6704a981d2cfd53f2f40f4c396a89d"
+    assert rng.getrandbits(64) == 15931380275450984282
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_check_prime_matches_trial_division():
+    for n in range(-3, 20000):
+        if _trial_division(n):
+            assert check_prime(n) == n
+        else:
+            with pytest.raises(ValueError):
+                check_prime(n)
+
+
+def test_check_prime_large_values():
+    start = time.perf_counter()
+    assert check_prime(2**31 - 1) == 2**31 - 1
+    assert check_prime(2**61 - 1) == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+    # a Carmichael number, the least strong pseudoprime to bases 2, 3, 5, 7,
+    # and the least one to every prime base up to 37
+    for composite in (561, 3215031751, 318665857834031151167461, 2**61 + 1):
+        with pytest.raises(ValueError, match="is not prime"):
+            check_prime(composite)
+    # primality is not decided at or above the bound, even for primes
+    for too_large in (PRIME_BOUND, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match="prime must be below"):
+            check_prime(too_large)
+
+
+# ---------------------------------------------------------------------------
+# strict integer entries
+
+
+@pytest.mark.parametrize("bad", [True, False, "2", 1.7, float("inf"), float("nan"), None, Fraction(1, 2)])
+def test_constructors_reject_non_integer_entries(bad):
+    with pytest.raises((TypeError, ValueError)):
+        ExponentMatrix([[0, bad], [1, 0]])
+    with pytest.raises((TypeError, ValueError)):
+        DifferencePolytope([[0, bad], [1, 0]])
+    with pytest.raises((TypeError, ValueError)):
+        LatticePoint([0, bad])
+    with pytest.raises((TypeError, ValueError)):
+        ApartmentVertex([0, bad])
+
+
+def test_constructors_accept_integral_floats():
+    nu = ExponentMatrix([[0, 2.0], [-1.0, 0]])
+    assert nu.entries == ((0, 2), (-1, 0))
+    assert all(type(x) is int for row in nu.entries for x in row)
+    assert DifferencePolytope([[0.0, 2], [1, 0]]).upper == ((0, 2), (1, 0))
+    assert LatticePoint([0, 3.0]).coords == (0, 3)
+    assert ApartmentVertex([1.0, 3]).m == (0, 2)
