@@ -13,7 +13,13 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .correspondence import ApartmentVertex, intersect_maximal
-from .dvr import LocalMatrix, conjugate, elementary_divisors, in_split_order
+from .dvr import (
+    LocalMatrix,
+    _triple_product,
+    conjugate,
+    elementary_divisors,
+    in_split_order,
+)
 from .errors import (
     DimensionMismatchError,
     NotAnOrderError,
@@ -54,13 +60,11 @@ class Apartment:
 
     def to_standard(self, A: LocalMatrix) -> LocalMatrix:
         """Pull A back to the standard frame: gamma^(-1) A gamma."""
-        self.gamma._require_compatible(A)
-        return self._gamma_inv @ A @ self.gamma
+        return _triple_product(self._gamma_inv, A, self.gamma)
 
     def from_standard(self, A: LocalMatrix) -> LocalMatrix:
         """Push A out of the standard frame: gamma A gamma^(-1)."""
-        self.gamma._require_compatible(A)
-        return self.gamma @ A @ self._gamma_inv
+        return _triple_product(self.gamma, A, self._gamma_inv)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Apartment):

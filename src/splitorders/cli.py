@@ -27,11 +27,9 @@ from .exponent import (
     is_order,
     order_hull,
 )
-from .fuzz import FuzzConfig, run_fuzz
+from .fuzz import MAX_DIMENSION, FuzzConfig, run_fuzz
 from .polytope import enumerate_lattice_points, is_reduced, polytope_of
 from .render import render_polytope_svg
-
-MAX_DIMENSION = 6
 
 
 class UsageError(Exception):
@@ -73,20 +71,23 @@ class RunConfig:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_json(path: str):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path}: not valid JSON (nested too deeply)") from exc
 
 
 def _load_matrix(path: str) -> ExponentMatrix:

@@ -227,6 +227,12 @@ def _eliminate(a: list, choose, jordan: bool = False) -> tuple[list[int], int]:
     return minors, sign
 
 
+def _mul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
+    """Product of two square integer matrices given as rows."""
+    cols = list(zip(*b))
+    return [tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a]
+
+
 class LocalMatrix:
     """Square matrix of exact rationals sharing one prime.
 
@@ -364,12 +370,9 @@ class LocalMatrix:
 
     def __matmul__(self, other: "LocalMatrix") -> "LocalMatrix":
         self._require_compatible(other)
-        cols = list(zip(*other.nums))
-        rows = [
-            tuple([sum(map(operator.mul, row, col)) for col in cols])
-            for row in self.nums
-        ]
-        return LocalMatrix._from_raw(rows, self.den * other.den, self.prime)
+        return LocalMatrix._from_raw(
+            _mul_rows(self.nums, other.nums), self.den * other.den, self.prime
+        )
 
     def __add__(self, other: "LocalMatrix") -> "LocalMatrix":
         self._require_compatible(other)
@@ -509,7 +512,20 @@ def conjugate(xi: LocalMatrix, A: LocalMatrix) -> LocalMatrix:
         xi_inv = xi.inverse()
     except SingularInputError as exc:
         raise SingularConjugatorError("conjugating matrix is singular") from exc
-    return xi_inv @ A @ xi
+    return _triple_product(xi_inv, A, xi)
+
+
+def _triple_product(l: LocalMatrix, a: LocalMatrix, r: LocalMatrix) -> LocalMatrix:
+    """l @ a @ r, normalized to lowest terms once instead of twice.
+
+    Raises the errors of ``l @ a`` and then of ``(l @ a) @ r``; the
+    lowest-terms form is unique, so the result equals the two-step product.
+    """
+    l._require_compatible(a)
+    l._require_compatible(r)
+    return LocalMatrix._from_raw(
+        _mul_rows(_mul_rows(l.nums, a.nums), r.nums), l.den * a.den * r.den, l.prime
+    )
 
 
 @dataclass(frozen=True)
@@ -599,7 +615,7 @@ def diagonal_witness(form: HermiteForm) -> LocalMatrix:
     xi_inv = xi.inverse()
     for bits in itertools.product((0, 1), repeat=n):
         D = LocalMatrix.diagonal(bits, xi.prime)
-        if not (xi @ D @ xi_inv).is_integral():
+        if not _triple_product(xi, D, xi_inv).is_integral():
             return D
     raise AlreadyDiagonalError(
         "every 0/1 diagonal conjugates integrally; the form is diagonal"
@@ -634,29 +650,35 @@ def elementary_divisors(L: LocalMatrix, Lp: LocalMatrix) -> tuple[int, ...]:
 def _sharp_sampler(nu: ExponentMatrix, p: int):
     """Draw function for elements of S(nu) with entry valuations exactly nu.
 
-    Each entry is a unit numerator, drawn uniformly from [1, p^4] coprime
-    to p (``randrange(1, p^4 + 1)`` is the stream of ``randint(1, p^4)``),
-    scaled by p^{nu[i][j]}; entries are drawn row by row.
+    Returns ``(draw, den)``: ``draw(rng)`` gives the integer numerator rows
+    of one element over the denominator ``den = p^shift``.  Entry (i, j)
+    is a unit u, uniform on [1, p^4] and prime to p, times p^{nu[i][j]};
+    entries are drawn row by row.  u - 1 is drawn as ``rng.getrandbits(k)``
+    with k the bit length of p^4, redrawn while it is at least p^4 or u is
+    a multiple of p.  That is word for word what ``randrange(1, p^4 + 1)``
+    (the stream of ``randint(1, p^4)``) consumes, redrawn on multiples of
+    p, whenever ``randrange`` goes through ``getrandbits``: for
+    ``random.Random`` and any subclass that keeps its ``getrandbits``.
     """
-    stop = p**4 + 1
+    bound = p**4
+    k = bound.bit_length()
     shift = max(0, -min(x for row in nu.entries for x in row))
-    den = p**shift
     scales = [[p ** (e + shift) for e in row] for row in nu.entries]
 
-    def sample(rng: random.Random) -> LocalMatrix:
-        draw = rng.randrange
+    def draw(rng: random.Random) -> list[list[int]]:
+        getrandbits = rng.getrandbits
         rows = []
         for row in scales:
             out = []
             for s in row:
-                u = draw(1, stop)
-                while u % p == 0:
-                    u = draw(1, stop)
-                out.append(u * s)
+                r = getrandbits(k)
+                while r >= bound or (r + 1) % p == 0:
+                    r = getrandbits(k)
+                out.append((r + 1) * s)
             rows.append(out)
-        return LocalMatrix._from_raw(rows, den, p)
+        return rows
 
-    return sample
+    return draw, p**shift
 
 
 def sample_split_order_element(
@@ -665,9 +687,14 @@ def sample_split_order_element(
     """Random element of S(nu) whose entries have valuation exactly nu[i][j].
 
     Each entry is a unit numerator, drawn uniformly from [1, p^4] coprime
-    to p, scaled by p^{nu[i][j]}.
+    to p, scaled by p^{nu[i][j]}.  The draws use ``rng.getrandbits`` and
+    leave ``rng`` where rejection sampling with ``rng.randrange(1, p^4 + 1)``
+    would: for ``random.Random``, and any subclass that keeps its
+    ``getrandbits``, the samples and the final state are the same.
     """
-    return _sharp_sampler(nu, check_prime(prime))(rng)
+    p = check_prime(prime)
+    draw, den = _sharp_sampler(nu, p)
+    return LocalMatrix._from_raw(draw(rng), den, p)
 
 
 def ring_closure_check(
@@ -683,7 +710,9 @@ def ring_closure_check(
     Otherwise returns a witness pair (A, B) of elements of S(nu) whose
     product escapes; for a non-order the witness is built deterministically
     from the first violated triple (i, k, j) as p^{nu[i][k]} E(i, k) and
-    p^{nu[k][j]} E(k, j).
+    p^{nu[k][j]} E(k, j).  Pairs are drawn as by
+    ``sample_split_order_element`` from ``random.Random(seed)``, through
+    its ``getrandbits``, so a seed replays the stream of ``randrange``.
     """
     p = check_prime(prime)
     violation = first_violation(nu)
@@ -693,10 +722,11 @@ def ring_closure_check(
         B = LocalMatrix.matrix_unit(nu.n, k, j, p, exponent=nu.entries[k][j])
         return (A, B)
     rng = random.Random(seed)
-    sample = _sharp_sampler(nu, p)
+    draw, den = _sharp_sampler(nu, p)
+    den2 = den * den
     for _ in range(trials):
-        A = sample(rng)
-        B = sample(rng)
-        if not in_split_order(A @ B, nu):
-            return (A, B)
+        a = draw(rng)
+        b = draw(rng)
+        if not in_split_order(LocalMatrix._from_raw(_mul_rows(a, b), den2, p), nu):
+            return (LocalMatrix._from_raw(a, den, p), LocalMatrix._from_raw(b, den, p))
     return True

@@ -106,7 +106,7 @@ class ExponentMatrix:
         matrix = cls(data["nu"])
         declared = data.get("n")
         if declared is not None and declared != matrix.n:
-            raise ValueError(f"declared n = {declared} but matrix has n = {matrix.n}")
+            raise ValueError(f"declared n = {declared!r} but matrix has n = {matrix.n}")
         return matrix
 
 

@@ -72,6 +72,9 @@ from .polytope import (
 _SEED_STRIDE = 1000003
 _SEED_MASK = 2**64 - 1
 
+# largest matrix dimension run_fuzz and the command line accept
+MAX_DIMENSION = 6
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -92,8 +95,8 @@ class FuzzConfig:
             raise ValueError("entry range is empty")
         if not 2 <= self.n_min <= self.n_max:
             raise ValueError("need 2 <= n_min <= n_max")
-        if self.n_max > 6:
-            raise ValueError("dimensions above 6 are not supported")
+        if self.n_max > MAX_DIMENSION:
+            raise ValueError(f"dimensions above {MAX_DIMENSION} are not supported")
         check_prime(self.prime)
 
 

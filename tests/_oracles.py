@@ -150,3 +150,63 @@ def divisors_by_minors(rows, p):
                     vals.append(padic_valuation(d, p))
         least.append(min(vals))
     return tuple(least[k] - least[k - 1] for k in range(1, n + 1))
+
+
+def frac_sharp_sample(rng, entries, p):
+    """Element of S(nu) with entry valuations exactly nu, as Fraction rows.
+
+    Each entry is a unit drawn by ``rng.randrange(1, p^4 + 1)``, redrawn
+    on multiples of p, times p^nu[i][j]; entries are drawn row by row.
+    """
+    from fractions import Fraction
+
+    rows = []
+    for row in entries:
+        out = []
+        for e in row:
+            u = rng.randrange(1, p**4 + 1)
+            while u % p == 0:
+                u = rng.randrange(1, p**4 + 1)
+            out.append(u * Fraction(p) ** e)
+        rows.append(out)
+    return rows
+
+
+def frac_ring_closure(entries, trials, seed, p, escapes=None):
+    """Fraction form of the randomized ring-closure check.
+
+    A non-order gets the witness p^nu[i][k] E(i, k), p^nu[k][j] E(k, j)
+    for the first triple (i, j, k), scanned in that nesting, with
+    nu[i][k] + nu[k][j] < nu[i][j].  An order draws ``trials`` pairs
+    from ``random.Random(seed)`` and returns the first pair whose product
+    ``escapes`` (by default: some entry has valuation below nu), or True.
+    """
+    import random
+    from fractions import Fraction
+
+    n = len(entries)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if entries[i][k] + entries[k][j] < entries[i][j]:
+                    a = [[Fraction(0)] * n for _ in range(n)]
+                    b = [[Fraction(0)] * n for _ in range(n)]
+                    a[i][k] = Fraction(p) ** entries[i][k]
+                    b[k][j] = Fraction(p) ** entries[k][j]
+                    return a, b
+
+    def below_nu(rows):
+        return any(
+            x != 0 and padic_valuation(x, p) < entries[i][j]
+            for i, row in enumerate(rows)
+            for j, x in enumerate(row)
+        )
+
+    escapes = escapes or below_nu
+    rng = random.Random(seed)
+    for _ in range(trials):
+        a = frac_sharp_sample(rng, entries, p)
+        b = frac_sharp_sample(rng, entries, p)
+        if escapes(frac_matmul(a, b)):
+            return a, b
+    return True

@@ -301,3 +301,32 @@ def test_fuzz_rejects_primes_beyond_the_bound(capsys):
         "error: prime must be below 3317044064679887385961981, "
         "got 3317044064679887385961981\n"
     )
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe[[0, 1], [1, 0]]", "cannot read {path}: 'utf-8' codec can't decode"),
+        (b"[" * 100000 + b"]" * 100000, "{path}: not valid JSON (nested too deeply)"),
+        (
+            b'{"n": "a\\nb", "nu": [[0, 0], [0, 0]]}',
+            "{path}: not an exponent matrix (declared n = 'a\\nb' but matrix has n = 2)",
+        ),
+    ],
+    ids=["not-utf8", "deep-nesting", "line-break-in-n"],
+)
+def test_unreadable_input_is_one_error_line(tmp_path, capsys, data, message):
+    """Bytes that are not UTF-8, nesting deeper than the recursion limit and
+    a declared n holding a line break each used to escape as a traceback or
+    split the error in two."""
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(path=path))
+    assert captured.err.count("\n") == 1
+    assert main(["intersect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
