@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import FrozenRecord
 from .correspondence import ApartmentVertex, intersect_maximal, verify_roundtrip
-from .dvr import check_prime
 from .errors import EnumerationLimitError, NegativeCycleError, SplitOrderError
 from .exponent import (
     ExponentMatrix,
@@ -27,47 +25,60 @@ from .exponent import (
     is_order,
     order_hull,
 )
-from .fuzz import MAX_DIMENSION, FuzzConfig, run_fuzz
+from .fuzz import MAX_DIMENSION, FuzzConfig, check_fuzz_fields, run_fuzz
 from .polytope import enumerate_lattice_points, is_reduced, polytope_of
-from .render import render_polytope_svg
+from .render import check_drawing_options, render_polytope_svg
 
 
 class UsageError(Exception):
     """Input that could not even be parsed; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FrozenRecord):
     """One resolved invocation of the tool."""
 
-    subcommand: str
-    input_path: Optional[str] = None
-    out_path: Optional[str] = None
-    prime: int = 2
-    n_min: int = 2
-    n_max: int = 4
-    entry_min: int = -3
-    entry_max: int = 5
-    trials: int = 10000
-    seed: int = 0
-    scale: float = 40.0
-    margin: float = 1.5
+    __match_args__ = (
+        "subcommand", "input_path", "out_path", "prime", "n_min", "n_max",
+        "entry_min", "entry_max", "trials", "seed", "scale", "margin",
+    )
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise UsageError("trial count must be >= 1")
-        if self.entry_min > self.entry_max:
-            raise UsageError("entry range is empty")
-        if not 2 <= self.n_min <= self.n_max <= MAX_DIMENSION:
-            raise UsageError(
-                f"dimension range must satisfy 2 <= n <= {MAX_DIMENSION}"
-            )
+    def __init__(
+        self,
+        subcommand: str,
+        input_path: Optional[str] = None,
+        out_path: Optional[str] = None,
+        prime: int = 2,
+        n_min: int = 2,
+        n_max: int = 4,
+        entry_min: int = -3,
+        entry_max: int = 5,
+        trials: int = 10000,
+        seed: int = 0,
+        scale: float = 40.0,
+        margin: float = 1.5,
+    ):
+        if 2 <= n_min <= n_max <= MAX_DIMENSION:
+            dimension_error = None
+        else:
+            dimension_error = f"dimension range must satisfy 2 <= n <= {MAX_DIMENSION}"
         try:
-            check_prime(self.prime)
+            check_fuzz_fields(trials, entry_min, entry_max, prime, dimension_error)
+            check_drawing_options(scale, margin)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise UsageError("scale must be a positive finite number")
+        fields = self.__dict__
+        fields["subcommand"] = subcommand
+        fields["input_path"] = input_path
+        fields["out_path"] = out_path
+        fields["prime"] = prime
+        fields["n_min"] = n_min
+        fields["n_max"] = n_max
+        fields["entry_min"] = entry_min
+        fields["entry_max"] = entry_max
+        fields["trials"] = trials
+        fields["seed"] = seed
+        fields["scale"] = scale
+        fields["margin"] = margin
 
 
 def _read_text(path: str) -> str:

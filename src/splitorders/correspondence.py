@@ -12,10 +12,10 @@ other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 from typing import Iterable, Sequence
 
+from ._record import FrozenRecord
 from .errors import DimensionMismatchError, EmptyVertexListError
 from .exponent import ExponentMatrix, int_tuple, order_hull
 from .polytope import (
@@ -109,16 +109,29 @@ def maximal_orders_containing(
     return ApartmentVertex._trusted(p.coords for p in points)
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(FrozenRecord):
     """Outcome of sending an exponent matrix through both directions."""
 
-    nu: ExponentMatrix
-    hull: ExponentMatrix
-    vertices: tuple[ApartmentVertex, ...]
-    hull_fixed: bool
-    input_reduced: bool
-    reduced_fixed: bool
+    __match_args__ = (
+        "nu", "hull", "vertices", "hull_fixed", "input_reduced", "reduced_fixed"
+    )
+
+    def __init__(
+        self,
+        nu: ExponentMatrix,
+        hull: ExponentMatrix,
+        vertices: tuple[ApartmentVertex, ...],
+        hull_fixed: bool,
+        input_reduced: bool,
+        reduced_fixed: bool,
+    ):
+        fields = self.__dict__
+        fields["nu"] = nu
+        fields["hull"] = hull
+        fields["vertices"] = vertices
+        fields["hull_fixed"] = hull_fixed
+        fields["input_reduced"] = input_reduced
+        fields["reduced_fixed"] = reduced_fixed
 
     @property
     def ok(self) -> bool:

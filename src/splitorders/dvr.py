@@ -21,10 +21,10 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+from ._record import FrozenRecord
 from .correspondence import ApartmentVertex
 from .errors import (
     AlreadyDiagonalError,
@@ -108,16 +108,15 @@ def rational_valuation(value: _RationalLike, prime: int):
     return v
 
 
-@dataclass(frozen=True)
-class LocalScalar:
+class LocalScalar(FrozenRecord):
     """Exact rational together with the prime of its valuation."""
 
-    value: Fraction
-    prime: int
+    __match_args__ = ("value", "prime")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        object.__setattr__(self, "prime", check_prime(self.prime))
+    def __init__(self, value: _RationalLike, prime: int):
+        fields = self.__dict__
+        fields["value"] = Fraction(value)
+        fields["prime"] = check_prime(prime)
 
     def valuation(self):
         return rational_valuation(self.value, self.prime)
@@ -528,8 +527,7 @@ def _triple_product(l: LocalMatrix, a: LocalMatrix, r: LocalMatrix) -> LocalMatr
     )
 
 
-@dataclass(frozen=True)
-class HermiteForm:
+class HermiteForm(FrozenRecord):
     """Canonical upper-triangular form under left multiplication by integral units.
 
     The diagonal entries are exact powers of the prime and each entry
@@ -537,8 +535,12 @@ class HermiteForm:
     {0, ..., p^{m_j} - 1}; the representative of the zero class is 0.
     """
 
-    matrix: LocalMatrix
-    exponents: tuple[int, ...]
+    __match_args__ = ("matrix", "exponents")
+
+    def __init__(self, matrix: LocalMatrix, exponents: tuple[int, ...]):
+        fields = self.__dict__
+        fields["matrix"] = matrix
+        fields["exponents"] = exponents
 
     def is_diagonal(self) -> bool:
         return self.matrix.is_diagonal()

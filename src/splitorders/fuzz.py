@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from ._record import FrozenRecord
 from .apartments import (
     Apartment,
     divisor_invariance_check,
@@ -76,45 +76,85 @@ _SEED_MASK = 2**64 - 1
 MAX_DIMENSION = 6
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+def check_fuzz_fields(
+    trials: int,
+    entry_min: int,
+    entry_max: int,
+    prime: int,
+    dimension_error: Optional[str],
+) -> None:
+    """Validate the fields FuzzConfig and cli.RunConfig share.
+
+    Checks the trial count and the entry range, then raises
+    ``dimension_error`` when the caller found its dimensions out of range,
+    then checks the prime; the first failure is the one reported.
+
+    Raises ValueError.
+    """
+    if trials < 1:
+        raise ValueError("trial count must be >= 1")
+    if entry_min > entry_max:
+        raise ValueError("entry range is empty")
+    if dimension_error is not None:
+        raise ValueError(dimension_error)
+    check_prime(prime)
+
+
+class FuzzConfig(FrozenRecord):
     """Configuration of one driver run; all fields are validated."""
 
-    n_min: int = 2
-    n_max: int = 4
-    entry_min: int = -3
-    entry_max: int = 5
-    trials: int = 10000
-    seed: int = 0
-    prime: int = 2
+    __match_args__ = (
+        "n_min", "n_max", "entry_min", "entry_max", "trials", "seed", "prime"
+    )
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trial count must be >= 1")
-        if self.entry_min > self.entry_max:
-            raise ValueError("entry range is empty")
-        if not 2 <= self.n_min <= self.n_max:
-            raise ValueError("need 2 <= n_min <= n_max")
-        if self.n_max > MAX_DIMENSION:
-            raise ValueError(f"dimensions above {MAX_DIMENSION} are not supported")
-        check_prime(self.prime)
+    def __init__(
+        self,
+        n_min: int = 2,
+        n_max: int = 4,
+        entry_min: int = -3,
+        entry_max: int = 5,
+        trials: int = 10000,
+        seed: int = 0,
+        prime: int = 2,
+    ):
+        if not 2 <= n_min <= n_max:
+            dimension_error = "need 2 <= n_min <= n_max"
+        elif n_max > MAX_DIMENSION:
+            dimension_error = f"dimensions above {MAX_DIMENSION} are not supported"
+        else:
+            dimension_error = None
+        check_fuzz_fields(trials, entry_min, entry_max, prime, dimension_error)
+        fields = self.__dict__
+        fields["n_min"] = n_min
+        fields["n_max"] = n_max
+        fields["entry_min"] = entry_min
+        fields["entry_max"] = entry_max
+        fields["trials"] = trials
+        fields["seed"] = seed
+        fields["prime"] = prime
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    trials: int
-    failure: Optional[dict]
+class CheckResult(FrozenRecord):
+    __match_args__ = ("name", "trials", "failure")
+
+    def __init__(self, name: str, trials: int, failure: Optional[dict]):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["trials"] = trials
+        fields["failure"] = failure
 
     @property
     def ok(self) -> bool:
         return self.failure is None
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    seed: int
-    results: tuple[CheckResult, ...]
+class FuzzReport(FrozenRecord):
+    __match_args__ = ("seed", "results")
+
+    def __init__(self, seed: int, results: tuple[CheckResult, ...]):
+        fields = self.__dict__
+        fields["seed"] = seed
+        fields["results"] = results
 
     @property
     def ok(self) -> bool:

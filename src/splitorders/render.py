@@ -11,7 +11,6 @@ the region are dashed.
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 
 from .errors import UnsupportedDimensionError
 from .exponent import ExponentMatrix, minplus_closure
@@ -33,6 +32,16 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def check_drawing_options(scale: float, margin: float) -> None:
+    """Raises ValueError unless ``scale`` (pixels per lattice step) is finite
+    and positive and ``margin`` (lattice steps around the box) finite and
+    non-negative."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("scale must be a positive finite number")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError("margin must be a non-negative finite number")
+
+
 def render_polytope_svg(
     nu: ExponentMatrix, *, scale: float = 40.0, margin: float = 1.5
 ) -> str:
@@ -43,12 +52,15 @@ def render_polytope_svg(
     ids carrying their coordinates, and the six declared walls as lines
     colored by family, dashed when the wall does not touch the region.
 
-    Raises UnsupportedDimensionError unless n = 3.
+    Raises UnsupportedDimensionError unless n = 3, and ValueError unless
+    ``scale`` is finite and positive and ``margin`` finite and non-negative.
     """
     if nu.n != 3:
         raise UnsupportedDimensionError(f"drawing needs n = 3, got n = {nu.n}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    check_drawing_options(scale, margin)
+    # loaded here, not at module level: importing the package stays cheap
+    import xml.etree.ElementTree as ET
+
     u = nu.entries
     closed = minplus_closure(u)
     points = enumerate_lattice_points(polytope_of(nu))

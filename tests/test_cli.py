@@ -211,6 +211,14 @@ def test_draw_rejects_non_finite_scale(nu_file, tmp_path, capsys, scale):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -5.0])
+def test_run_config_rejects_bad_margin(margin):
+    with pytest.raises(UsageError) as info:
+        RunConfig("draw", "in.json", "out.svg", margin=margin)
+    assert str(info.value) == "margin must be a non-negative finite number"
+    assert RunConfig("draw", "in.json", "out.svg", margin=0.0).margin == 0.0
+
+
 def test_fuzz_rejects_non_prime(capsys):
     assert main(["fuzz", "--prime", "4", "--trials", "1"]) == 2
     captured = capsys.readouterr()

@@ -1,0 +1,363 @@
+"""Golden behaviour of the package's immutable value classes.
+
+``LocalScalar``, ``HermiteForm``, ``RoundtripReport``, ``FuzzConfig``,
+``CheckResult``, ``FuzzReport`` and ``RunConfig`` are frozen records: the
+expected reprs, equalities, hashes, validation messages and copy/pickle
+round trips below were captured from their frozen-dataclass versions,
+and pin that the plain classes behave the same.
+"""
+
+import copy
+import math
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from splitorders.cli import RunConfig, UsageError
+from splitorders.correspondence import ApartmentVertex, RoundtripReport, verify_roundtrip
+from splitorders.dvr import HermiteForm, LocalMatrix, LocalScalar, hermite_normal_form
+from splitorders.exponent import ExponentMatrix
+from splitorders.fuzz import CheckResult, FuzzConfig, FuzzReport
+
+BOUND = 3317044064679887385961981
+
+
+def _form():
+    return hermite_normal_form(LocalMatrix([[2, 1], [4, 6]], 2))[0]
+
+
+def _report():
+    return verify_roundtrip(ExponentMatrix([[0, 1], [0, 0]]))
+
+
+def _fuzz_report():
+    return FuzzReport(5, (CheckResult("a", 2, None), CheckResult("b", 1, {"n": 2})))
+
+
+# (factory, expected repr, field names)
+INSTANCES = {
+    "scalar": (
+        lambda: LocalScalar(Fraction(3, 4), 2),
+        "LocalScalar(value=Fraction(3, 4), prime=2)",
+        ("value", "prime"),
+    ),
+    "scalar-str": (
+        lambda: LocalScalar("5/6", prime=3),
+        "LocalScalar(value=Fraction(5, 6), prime=3)",
+        ("value", "prime"),
+    ),
+    "scalar-int": (
+        lambda: LocalScalar(value=-12, prime=5),
+        "LocalScalar(value=Fraction(-12, 1), prime=5)",
+        ("value", "prime"),
+    ),
+    "hermite": (
+        lambda: HermiteForm(LocalMatrix([[2, 1], [0, 1]], 2), (1, 0)),
+        "HermiteForm(matrix=LocalMatrix([[2, 1], [0, 1]], prime=2), exponents=(1, 0))",
+        ("matrix", "exponents"),
+    ),
+    "hermite-kw": (
+        lambda: HermiteForm(matrix=LocalMatrix([["1/2", 0], [0, 1]], 2), exponents=(-1, 0)),
+        "HermiteForm(matrix=LocalMatrix([[1/2, 0], [0, 1]], prime=2), exponents=(-1, 0))",
+        ("matrix", "exponents"),
+    ),
+    "roundtrip": (
+        _report,
+        "RoundtripReport(nu=ExponentMatrix([[0, 1], [0, 0]]), "
+        "hull=ExponentMatrix([[0, 1], [0, 0]]), "
+        "vertices=(ApartmentVertex([0, -1]), ApartmentVertex([0, 0])), "
+        "hull_fixed=True, input_reduced=True, reduced_fixed=True)",
+        ("nu", "hull", "vertices", "hull_fixed", "input_reduced", "reduced_fixed"),
+    ),
+    "roundtrip-3": (
+        lambda: verify_roundtrip(ExponentMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])),
+        "RoundtripReport(nu=ExponentMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), "
+        "hull=ExponentMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), "
+        "vertices=(ApartmentVertex([0, 0, 0]),), "
+        "hull_fixed=True, input_reduced=False, reduced_fixed=True)",
+        ("nu", "hull", "vertices", "hull_fixed", "input_reduced", "reduced_fixed"),
+    ),
+    "fuzz-config": (
+        FuzzConfig,
+        "FuzzConfig(n_min=2, n_max=4, entry_min=-3, entry_max=5, trials=10000, "
+        "seed=0, prime=2)",
+        ("n_min", "n_max", "entry_min", "entry_max", "trials", "seed", "prime"),
+    ),
+    "fuzz-config-positional": (
+        lambda: FuzzConfig(3, 5, -1, 2, 10, 7, 3),
+        "FuzzConfig(n_min=3, n_max=5, entry_min=-1, entry_max=2, trials=10, "
+        "seed=7, prime=3)",
+        ("n_min", "n_max", "entry_min", "entry_max", "trials", "seed", "prime"),
+    ),
+    "fuzz-config-keyword": (
+        lambda: FuzzConfig(trials=60, seed=9),
+        "FuzzConfig(n_min=2, n_max=4, entry_min=-3, entry_max=5, trials=60, "
+        "seed=9, prime=2)",
+        ("n_min", "n_max", "entry_min", "entry_max", "trials", "seed", "prime"),
+    ),
+    "check-result": (
+        lambda: CheckResult("hull-path-scan", 3, None),
+        "CheckResult(name='hull-path-scan', trials=3, failure=None)",
+        ("name", "trials", "failure"),
+    ),
+    "check-result-failure": (
+        lambda: CheckResult(
+            name="ring-closure", trials=1, failure={"check": "ring-closure", "note": "x"}
+        ),
+        "CheckResult(name='ring-closure', trials=1, "
+        "failure={'check': 'ring-closure', 'note': 'x'})",
+        ("name", "trials", "failure"),
+    ),
+    "fuzz-report": (
+        _fuzz_report,
+        "FuzzReport(seed=5, results=(CheckResult(name='a', trials=2, failure=None), "
+        "CheckResult(name='b', trials=1, failure={'n': 2})))",
+        ("seed", "results"),
+    ),
+    "run-config": (
+        lambda: RunConfig("check"),
+        "RunConfig(subcommand='check', input_path=None, out_path=None, prime=2, "
+        "n_min=2, n_max=4, entry_min=-3, entry_max=5, trials=10000, seed=0, "
+        "scale=40.0, margin=1.5)",
+        (
+            "subcommand", "input_path", "out_path", "prime", "n_min", "n_max",
+            "entry_min", "entry_max", "trials", "seed", "scale", "margin",
+        ),
+    ),
+    "run-config-keyword": (
+        lambda: RunConfig("draw", "in.json", "out.svg", scale=25.0),
+        "RunConfig(subcommand='draw', input_path='in.json', out_path='out.svg', "
+        "prime=2, n_min=2, n_max=4, entry_min=-3, entry_max=5, trials=10000, "
+        "seed=0, scale=25.0, margin=1.5)",
+        (
+            "subcommand", "input_path", "out_path", "prime", "n_min", "n_max",
+            "entry_min", "entry_max", "trials", "seed", "scale", "margin",
+        ),
+    ),
+    "run-config-positional": (
+        lambda: RunConfig("fuzz", None, None, 3, 2, 5, -1, 2, 50, 7, 40.0, 1.5),
+        "RunConfig(subcommand='fuzz', input_path=None, out_path=None, prime=3, "
+        "n_min=2, n_max=5, entry_min=-1, entry_max=2, trials=50, seed=7, "
+        "scale=40.0, margin=1.5)",
+        (
+            "subcommand", "input_path", "out_path", "prime", "n_min", "n_max",
+            "entry_min", "entry_max", "trials", "seed", "scale", "margin",
+        ),
+    ),
+}
+
+UNHASHABLE = {"check-result-failure", "fuzz-report"}
+
+
+@pytest.fixture(params=sorted(INSTANCES))
+def case(request):
+    return request.param, *INSTANCES[request.param]
+
+
+def test_repr(case):
+    _, make, expected, _ = case
+    assert repr(make()) == expected
+
+
+def test_fields_in_order(case):
+    _, make, _, fields = case
+    obj = make()
+    assert type(obj).__match_args__ == fields
+    assert list(vars(obj)) == list(fields)
+
+
+def test_equal_instances_and_hash(case):
+    name, make, _, fields = case
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields))
+
+
+def test_other_types_are_not_implemented(case):
+    _, make, _, fields = case
+    obj = make()
+    plain = tuple(getattr(obj, f) for f in fields)
+    assert obj.__eq__(plain) is NotImplemented
+    assert obj.__eq__(object()) is NotImplemented
+    assert obj != plain
+    assert obj != None  # noqa: E711
+
+
+def test_unequal_instances():
+    assert LocalScalar(1, 2) != LocalScalar(1, 3)
+    assert LocalScalar(1, 2) != LocalScalar(2, 2)
+    assert LocalScalar("2/4", 2) == LocalScalar(Fraction(1, 2), 2)
+    assert hash(LocalScalar("2/4", 2)) == hash(LocalScalar(Fraction(1, 2), 2))
+    assert HermiteForm(LocalMatrix([[2, 1], [0, 1]], 2), (1, 0)) != HermiteForm(
+        LocalMatrix([[2, 1], [0, 1]], 2), (1, 1)
+    )
+    assert _form() == HermiteForm(_form().matrix, _form().exponents)
+    report = _report()
+    assert report != RoundtripReport(
+        report.nu, report.hull, report.vertices[:1], True, True, True
+    )
+    assert FuzzConfig() == FuzzConfig(2, 4, -3, 5, 10000, 0, 2)
+    assert FuzzConfig() != FuzzConfig(seed=1)
+    assert hash(FuzzConfig()) != hash(FuzzConfig(seed=1))
+    assert CheckResult("a", 1, None) != CheckResult("a", 2, None)
+    assert CheckResult("a", 1, {"n": 2}) == CheckResult("a", 1, {"n": 2})
+    assert _fuzz_report() != FuzzReport(6, _fuzz_report().results)
+    assert RunConfig("check") != RunConfig("hull")
+    assert RunConfig("check", "a.json") == RunConfig(subcommand="check", input_path="a.json")
+    assert hash(RunConfig("check", "a.json")) == hash(
+        RunConfig(subcommand="check", input_path="a.json")
+    )
+
+
+def test_defaults_and_stored_values():
+    assert FuzzConfig(prime=3).prime == 3
+    s = LocalScalar(6, 3)
+    assert type(s.value) is Fraction and s.value == 6 and s.valuation() == 1
+    cfg = RunConfig("fuzz", trials=5)
+    assert (cfg.trials, cfg.seed, cfg.scale, cfg.margin) == (5, 0, 40.0, 1.5)
+    assert RoundtripReport(*[getattr(_report(), f) for f in INSTANCES["roundtrip"][2]]) == (
+        _report()
+    )
+    with pytest.raises(TypeError):
+        LocalScalar(1)
+    with pytest.raises(TypeError):
+        HermiteForm(LocalMatrix.identity(2, 2))
+    with pytest.raises(TypeError):
+        CheckResult("a", 1)
+    with pytest.raises(TypeError):
+        FuzzReport(1)
+    with pytest.raises(TypeError):
+        RunConfig()
+    with pytest.raises(TypeError):
+        FuzzConfig(unknown=1)
+
+
+def test_assignment_and_deletion_raise(case):
+    _, make, _, fields = case
+    obj = make()
+    before = repr(obj)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{fields[0]}'"):
+        setattr(obj, fields[0], 1)
+    with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
+        obj.other = 1
+    with pytest.raises(AttributeError, match=f"cannot delete field '{fields[-1]}'"):
+        delattr(obj, fields[-1])
+    assert repr(obj) == before
+
+
+def test_pickle_and_copy_round_trips(case):
+    _, make, expected, _ = case
+    obj = make()
+    for clone in (
+        pickle.loads(pickle.dumps(obj)),
+        pickle.loads(pickle.dumps(obj, protocol=2)),
+        copy.copy(obj),
+        copy.deepcopy(obj),
+    ):
+        assert type(clone) is type(obj)
+        assert clone == obj
+        assert repr(clone) == expected
+    with pytest.raises(AttributeError):
+        copy.copy(obj).other = 1
+
+
+@pytest.mark.parametrize(
+    "value, prime, error, message",
+    [
+        (1, 4, ValueError, "4 is not prime"),
+        (1, 1, ValueError, "prime must be >= 2, got 1"),
+        (1, BOUND, ValueError, f"prime must be below {BOUND}, got {BOUND}"),
+        ("x", 4, ValueError, "Invalid literal for Fraction: 'x'"),
+    ],
+)
+def test_local_scalar_validation(value, prime, error, message):
+    with pytest.raises(error) as info:
+        LocalScalar(value, prime)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": 0}, "trial count must be >= 1"),
+        ({"trials": -5}, "trial count must be >= 1"),
+        ({"entry_min": 3, "entry_max": -3}, "entry range is empty"),
+        ({"n_min": 1}, "need 2 <= n_min <= n_max"),
+        ({"n_min": 3, "n_max": 2}, "need 2 <= n_min <= n_max"),
+        ({"n_max": 7}, "dimensions above 6 are not supported"),
+        ({"prime": 4}, "4 is not prime"),
+        ({"prime": 1}, "prime must be >= 2, got 1"),
+        ({"prime": BOUND}, f"prime must be below {BOUND}, got {BOUND}"),
+        # the first failing field is reported
+        (
+            {"trials": 0, "entry_min": 3, "entry_max": -3, "n_max": 9, "prime": 4},
+            "trial count must be >= 1",
+        ),
+        ({"entry_min": 3, "entry_max": -3, "n_max": 9, "prime": 4}, "entry range is empty"),
+        ({"n_max": 9, "prime": 4}, "dimensions above 6 are not supported"),
+        ({"n_min": 1, "prime": 4}, "need 2 <= n_min <= n_max"),
+        ({"n_min": 8, "n_max": 7, "prime": 9}, "need 2 <= n_min <= n_max"),
+    ],
+)
+def test_fuzz_config_validation(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        FuzzConfig(**kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": 0}, "trial count must be >= 1"),
+        ({"entry_min": 3, "entry_max": -3}, "entry range is empty"),
+        ({"n_min": 1}, "dimension range must satisfy 2 <= n <= 6"),
+        ({"n_min": 3, "n_max": 2}, "dimension range must satisfy 2 <= n <= 6"),
+        ({"n_max": 7}, "dimension range must satisfy 2 <= n <= 6"),
+        ({"prime": 4}, "4 is not prime"),
+        ({"prime": 1}, "prime must be >= 2, got 1"),
+        ({"prime": BOUND}, f"prime must be below {BOUND}, got {BOUND}"),
+        ({"scale": 0.0}, "scale must be a positive finite number"),
+        ({"scale": -1.0}, "scale must be a positive finite number"),
+        ({"scale": math.nan}, "scale must be a positive finite number"),
+        ({"scale": math.inf}, "scale must be a positive finite number"),
+        # the first failing field is reported
+        (
+            {"trials": 0, "entry_min": 3, "entry_max": -3, "n_max": 9, "prime": 4,
+             "scale": 0.0},
+            "trial count must be >= 1",
+        ),
+        (
+            {"entry_min": 3, "entry_max": -3, "n_max": 9, "prime": 4, "scale": 0.0},
+            "entry range is empty",
+        ),
+        ({"n_max": 9, "prime": 4, "scale": 0.0}, "dimension range must satisfy 2 <= n <= 6"),
+        ({"prime": 4, "scale": 0.0}, "4 is not prime"),
+    ],
+)
+def test_run_config_validation(kwargs, message):
+    with pytest.raises(UsageError) as info:
+        RunConfig("fuzz", **kwargs)
+    assert str(info.value) == message
+
+
+def test_usage_error_keeps_the_prime_error_as_cause():
+    with pytest.raises(UsageError) as info:
+        RunConfig("fuzz", prime=4)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value.__cause__) == "4 is not prime"
+
+
+def test_roundtrip_report_properties_survive_pickle():
+    report = pickle.loads(pickle.dumps(_report()))
+    assert report.ok
+    assert report.vertices == (ApartmentVertex([0, -1]), ApartmentVertex([0, 0]))
+    fuzz_report = copy.copy(_fuzz_report())
+    assert not fuzz_report.ok
+    assert fuzz_report.failures == [{"n": 2}]
+    assert fuzz_report.summary_lines() == ["ok   a (2 trials)", "FAIL b (1 trials)"]

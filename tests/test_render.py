@@ -90,3 +90,23 @@ def test_dimension_and_scale_validation():
         render_polytope_svg(NU, scale=0.0)
     with pytest.raises(ValueError):
         render_polytope_svg(NU, scale=-3.0)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), 0.0, -3.0])
+def test_scale_must_be_positive_and_finite(scale):
+    with pytest.raises(ValueError, match="^scale must be a positive finite number$"):
+        render_polytope_svg(NU, scale=scale)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf"), -5.0, -0.5])
+def test_margin_must_be_non_negative_and_finite(margin):
+    with pytest.raises(ValueError, match="^margin must be a non-negative finite number$"):
+        render_polytope_svg(NU, margin=margin)
+
+
+def test_zero_margin_is_accepted():
+    ones = ExponentMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    root = _root(render_polytope_svg(ones, margin=0))
+    assert len(list(root.iter(f"{SVG}circle"))) == 16
+    # the default margin shows the full figure: 25 lattice dots and 7 points
+    assert len(list(_root(render_polytope_svg(ones)).iter(f"{SVG}circle"))) == 32
