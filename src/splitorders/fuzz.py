@@ -6,6 +6,22 @@ the single master seed in the configuration: check number i uses
 ``seed * 1000003 + i`` reduced mod 2**64.  Re-running with the same seed
 therefore replays the exact same inputs.
 
+Each check is one ``Check`` record, listed in ``_RECORDS``, and
+``run_check`` runs them all the same way.  The trial budget
+(``FuzzConfig.trials``, ``--trials`` on the command line) is split evenly
+over the dimensions n_min..n_max for the checks on random exponent
+matrices, some of which cap the trials per dimension; every other check
+runs ``min(trials, cap)`` trials, where the cap of the Hijikata check is
+the number of cells in its grid of 2 x 2 matrices, walked row by row.
+The first failing trial ends its check, and the trial count reported
+counts the trials run, the failing one included.
+
+To add a check, write its trial body, or for a property of one exponent
+matrix a predicate returning the failure note (the driver then draws the
+matrix and shrinks a failure), and add one record to ``_RECORDS``.  Check
+bodies call production functions by their names in this module, so
+tools that rebind those names see every call.
+
 The heavy theorems are checked against the production code paths; small
 brute-force referees (cycle scan, path scan, box scan) are kept here so
 the driver does not trust the closure routines it is auditing.
@@ -365,346 +381,271 @@ def minimize_failing_matrix(
     return ExponentMatrix(entries)
 
 
-def _matrix_failure(
-    name: str, nu: ExponentMatrix, failing: Callable[[ExponentMatrix], bool], note: str
-) -> dict:
-    return {
-        "check": name,
-        "note": note,
-        "input": nu.to_json_dict(),
-        "minimized": minimize_failing_matrix(nu, failing).to_json_dict(),
-    }
+# ---------------------------------------------------------------------------
+# the check record and its driver
 
 
-def _plain_failure(name: str, note: str, **data) -> dict:
-    out = {"check": name, "note": note}
-    out.update(data)
-    return out
+class Check:
+    """One fuzz check: a name, a trial schedule and a trial body.
+
+    With ``per_n`` the trial budget is split evenly over the dimensions
+    n_min..n_max (at least one trial each, at most ``cap`` when given) and
+    each trial gets its dimension n; otherwise there are
+    ``min(config.trials, cap)`` trials and each gets its index t.  ``cap``
+    is an int or a function of the config.
+
+    ``trial(rng, config, n_or_t)`` returns None, or ``(note, data)`` for a
+    failure.  A check given a ``predicate`` instead draws one random
+    exponent matrix of dimension n per trial; ``predicate(nu)`` returns
+    the failure note or None, and a failing matrix is reported with a
+    shrunk copy on which the predicate returns the same note.
+
+    Calling the record runs it: ``check(rng, config) -> (trials, failure)``.
+    """
+
+    __slots__ = ("name", "trial", "predicate", "per_n", "cap")
+
+    def __init__(self, name, trial=None, predicate=None, per_n=False, cap=None):
+        self.name = name
+        self.trial = trial
+        self.predicate = predicate
+        self.per_n = per_n
+        self.cap = cap
+
+    def __call__(
+        self, rng: random.Random, config: FuzzConfig
+    ) -> tuple[int, Optional[dict]]:
+        return run_check(self, rng, config)
+
+
+def run_check(
+    check: Check, rng: random.Random, config: FuzzConfig
+) -> tuple[int, Optional[dict]]:
+    """Run the trials of one check until one fails.
+
+    Returns the number of trials run, the failing one included, and the
+    failure dict (check name, note, then the data of the failure) or None.
+    """
+    cap = check.cap(config) if callable(check.cap) else check.cap
+    if check.per_n:
+        span = range(config.n_min, config.n_max + 1)
+        per = max(1, config.trials // len(span))
+        if cap is not None:
+            per = min(per, cap)
+        schedule = (n for n in span for _ in range(per))
+    else:
+        schedule = range(min(config.trials, cap))
+    used = 0
+    for arg in schedule:
+        used += 1
+        if check.predicate is None:
+            found = check.trial(rng, config, arg)
+        else:
+            found = _shrinking_trial(check.predicate, rng, config, arg)
+        if found is not None:
+            note, data = found
+            return used, {"check": check.name, "note": note, **data}
+    return used, None
+
+
+def _shrinking_trial(predicate, rng, config, n):
+    nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
+    note = predicate(nu)
+    if note is None:
+        return None
+    small = minimize_failing_matrix(nu, lambda m: predicate(m) == note)
+    return note, {"input": nu.to_json_dict(), "minimized": small.to_json_dict()}
 
 
 # ---------------------------------------------------------------------------
-# the checks; each returns (trials_used, failure dict or None)
+# predicates of the shrinking checks: the failure note of one matrix, or None
 
 
-def _per_n(config: FuzzConfig, cap: Optional[int] = None) -> tuple[range, int]:
-    span = range(config.n_min, config.n_max + 1)
-    per = max(1, config.trials // len(span))
-    if cap is not None:
-        per = min(per, cap)
-    return span, per
+def _feasibility_cycle_scan(nu):
+    if has_containing_maximal(nu) != cycle_scan_feasible(nu.entries):
+        return "closure disagrees with exhaustive cycle scan"
+    return None
 
 
-def _check_reject_bad_diagonal(rng, config):
-    trials = min(config.trials, 300)
-    for _ in range(trials):
-        n = rng.randint(config.n_min, config.n_max)
-        entries = [
-            [rng.randint(config.entry_min, config.entry_max) for _ in range(n)]
-            for _ in range(n)
-        ]
-        i = rng.randrange(n)
-        entries[i][i] = rng.choice([-2, -1, 1, 2, 3])
+def _hull_path_scan(nu):
+    if not has_containing_maximal(nu):
+        return None
+    hull = order_hull(nu)
+    if [list(r) for r in hull.entries] != path_scan_hull(nu.entries):
+        return "hull disagrees with exhaustive path scan"
+    return None
+
+
+def _hull_properties(nu):
+    n = nu.n
+    feasible = has_containing_maximal(nu)
+    if is_order(nu) and not feasible:
+        return "an order must admit a containing maximal order"
+    if not feasible:
+        return None
+    hull = order_hull(nu)
+    ok = (
+        is_order(hull)
+        and order_hull(hull) == hull
+        and all(
+            hull.entries[i][j] <= nu.entries[i][j]
+            for i in range(n)
+            for j in range(n)
+        )
+        and (is_order(nu) == (hull == nu))
+    )
+    if not ok:
+        return "hull not an idempotent dominated order"
+    if box_scan_points(nu.entries) != box_scan_points(hull.entries):
+        return "hull changed the integer points"
+    return None
+
+
+def _order_iff_reduced(nu):
+    if is_order(nu) != is_reduced(nu):
+        return "algebraic and geometric criteria disagree"
+    return None
+
+
+def _roundtrip_reduced(nu):
+    if not has_containing_maximal(nu):
+        return None
+    report = verify_roundtrip(nu)
+    if not report.ok:
+        return "roundtrip flags failed"
+    if report.input_reduced and intersect_maximal(report.vertices) != nu:
+        return "reduced matrix not recovered from its vertices"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# trial bodies of the other checks: None, or (failure note, failure data)
+
+
+def _reject_bad_diagonal(rng, config, t):
+    n = rng.randint(config.n_min, config.n_max)
+    entries = [
+        [rng.randint(config.entry_min, config.entry_max) for _ in range(n)]
+        for _ in range(n)
+    ]
+    i = rng.randrange(n)
+    entries[i][i] = rng.choice([-2, -1, 1, 2, 3])
+    try:
+        ExponentMatrix(entries)
+    except NonZeroDiagonalError:
+        return None
+    return "constructor accepted a nonzero diagonal", {"input": entries}
+
+
+def _max_difference_enumeration(rng, config, n):
+    nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
+    P = polytope_of(nu)
+    if is_empty(P):
+        return None
+    points = enumerate_lattice_points(P)
+    if not points:
+        return "nonempty region enumerated no points", {"input": nu.to_json_dict()}
+    cols = list(zip(*(p.coords for p in points)))
+    for i in range(n):
+        for j in range(n):
+            brute = max(map(operator.sub, cols[i], cols[j]))
+            if max_difference(P, i, j) != brute:
+                return (
+                    f"pair ({i}, {j}): path bound differs from point maximum",
+                    {"input": nu.to_json_dict()},
+                )
+    return None
+
+
+def _vertex_intersection(rng, config, n):
+    family = [random_vertex(rng, n) for _ in range(rng.randint(1, 6))]
+    mu = intersect_maximal(family)
+    vertices = maximal_orders_containing(mu)
+    members = {v.m for v in vertices}
+    sub = intersect_maximal(family[: max(1, len(family) - 1)])
+    ok = (
+        is_order(mu)
+        and is_reduced(mu)
+        and all(v.m in members for v in family)
+        and intersect_maximal(vertices) == mu
+        and all(
+            sub.entries[i][j] <= mu.entries[i][j]
+            for i in range(n)
+            for j in range(n)
+        )
+    )
+    if not ok:
+        return (
+            "intersection of maximal orders misbehaved",
+            {"vertices": [list(v.m) for v in family]},
+        )
+    return None
+
+
+def _grid_cells(config):
+    return (config.entry_max - config.entry_min + 1) ** 2
+
+
+def _hijikata_exhaustive(rng, config, t):
+    # cell t of the grid of 2 x 2 matrices, row by row
+    width = config.entry_max - config.entry_min + 1
+    a = config.entry_min + t // width
+    b = config.entry_min + t % width
+    nu = ExponentMatrix([[0, a], [b, 0]])
+    expected_order = a + b >= 0
+    if is_order(nu) != expected_order:
+        note = "2 x 2 order criterion is the sign of the exponent sum"
+    elif not expected_order:
         try:
-            ExponentMatrix(entries)
-        except NonZeroDiagonalError:
-            continue
-        return trials, _plain_failure(
-            "reject-nonzero-diagonal",
-            "constructor accepted a nonzero diagonal",
-            input=entries,
+            hijikata_normal_form(nu)
+        except NotAnOrderError:
+            return None
+        note = "normal form accepted a non-order"
+    else:
+        level = hijikata_normal_form(nu)
+        points = enumerate_lattice_points(polytope_of(nu))
+        coords = [p.coords[1] for p in points]
+        endpoints = [ApartmentVertex([0, -a]), ApartmentVertex([0, b])]
+        ok = (
+            level == a + b
+            and coords == list(range(-a, b + 1))
+            and intersect_maximal(endpoints) == nu
         )
-    return trials, None
+        if ok:
+            return None
+        note = "geodesic data disagrees with the level"
+    return note, {"input": nu.to_json_dict()}
 
 
-def _check_feasibility_cycle_scan(rng, config):
-    span, per = _per_n(config, cap=2500)
-    used = 0
-    for n in span:
-        for _ in range(per):
-            used += 1
-            nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
-            if has_containing_maximal(nu) != cycle_scan_feasible(nu.entries):
-                bad = lambda m: has_containing_maximal(m) != cycle_scan_feasible(
-                    m.entries
-                )
-                return used, _matrix_failure(
-                    "feasibility-cycle-scan",
-                    nu,
-                    bad,
-                    "closure disagrees with exhaustive cycle scan",
-                )
-    return used, None
+def _valuation_axioms(rng, config, t):
+    p = (2, 3, 5)[t % 3]
+    a = LocalScalar(
+        Fraction(rng.randint(-300, 300), rng.randint(1, 120)), p
+    )
+    b = LocalScalar(
+        Fraction(rng.randint(-300, 300), rng.randint(1, 120)), p
+    )
+    va, vb = a.valuation(), b.valuation()
+    if (a * b).valuation() != va + vb:
+        note = "multiplicativity failed"
+    elif (vs := (a + b).valuation()) < min(va, vb):
+        note = "ultrametric bound failed"
+    elif va != vb and vs != min(va, vb):
+        note = "ultrametric equality failed for distinct valuations"
+    else:
+        return None
+    return note, {"a": str(a.value), "b": str(b.value), "prime": p}
 
 
-def _check_hull_path_scan(rng, config):
-    span, per = _per_n(config, cap=2500)
-    used = 0
-    for n in span:
-        for _ in range(per):
-            used += 1
-            nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
-            if not has_containing_maximal(nu):
-                continue
-            hull = order_hull(nu)
-            if [list(r) for r in hull.entries] != path_scan_hull(nu.entries):
-                bad = lambda m: has_containing_maximal(m) and [
-                    list(r) for r in order_hull(m).entries
-                ] != path_scan_hull(m.entries)
-                return used, _matrix_failure(
-                    "hull-path-scan", nu, bad, "hull disagrees with exhaustive path scan"
-                )
-    return used, None
-
-
-def _check_hull_properties(rng, config):
-    span, per = _per_n(config)
-    used = 0
-    for n in span:
-        for _ in range(per):
-            used += 1
-            nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
-            feasible = has_containing_maximal(nu)
-            if is_order(nu) and not feasible:
-                return used, _matrix_failure(
-                    "hull-properties",
-                    nu,
-                    lambda m: is_order(m) and not has_containing_maximal(m),
-                    "an order must admit a containing maximal order",
-                )
-            if not feasible:
-                continue
-            hull = order_hull(nu)
-            ok = (
-                is_order(hull)
-                and order_hull(hull) == hull
-                and all(
-                    hull.entries[i][j] <= nu.entries[i][j]
-                    for i in range(n)
-                    for j in range(n)
-                )
-                and (is_order(nu) == (hull == nu))
-            )
-            if not ok:
-                bad = lambda m: has_containing_maximal(m) and not (
-                    is_order(order_hull(m))
-                    and order_hull(order_hull(m)) == order_hull(m)
-                    and all(
-                        order_hull(m).entries[i2][j2] <= m.entries[i2][j2]
-                        for i2 in range(m.n)
-                        for j2 in range(m.n)
-                    )
-                    and (is_order(m) == (order_hull(m) == m))
-                )
-                return used, _matrix_failure(
-                    "hull-properties", nu, bad, "hull not an idempotent dominated order"
-                )
-            if box_scan_points(nu.entries) != box_scan_points(hull.entries):
-                bad = lambda m: has_containing_maximal(m) and box_scan_points(
-                    m.entries
-                ) != box_scan_points(order_hull(m).entries)
-                return used, _matrix_failure(
-                    "hull-properties", nu, bad, "hull changed the integer points"
-                )
-    return used, None
-
-
-def _check_order_iff_reduced(rng, config):
-    span, per = _per_n(config)
-    used = 0
-    for n in span:
-        for _ in range(per):
-            used += 1
-            nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
-            if is_order(nu) != is_reduced(nu):
-                bad = lambda m: is_order(m) != is_reduced(m)
-                return used, _matrix_failure(
-                    "order-iff-reduced",
-                    nu,
-                    bad,
-                    "algebraic and geometric criteria disagree",
-                )
-    return used, None
-
-
-def _check_max_difference_enumeration(rng, config):
-    span, per = _per_n(config, cap=1200)
-    used = 0
-    for n in span:
-        for _ in range(per):
-            used += 1
-            nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
-            P = polytope_of(nu)
-            if is_empty(P):
-                continue
-            points = enumerate_lattice_points(P)
-            if not points:
-                return used, _plain_failure(
-                    "max-difference-enumeration",
-                    "nonempty region enumerated no points",
-                    input=nu.to_json_dict(),
-                )
-            cols = list(zip(*(p.coords for p in points)))
-            for i in range(n):
-                for j in range(n):
-                    brute = max(map(operator.sub, cols[i], cols[j]))
-                    if max_difference(P, i, j) != brute:
-                        return used, _plain_failure(
-                            "max-difference-enumeration",
-                            f"pair ({i}, {j}): path bound differs from point maximum",
-                            input=nu.to_json_dict(),
-                        )
-    return used, None
-
-
-def _check_roundtrip_reduced(rng, config):
-    span, per = _per_n(config)
-    used = 0
-    for n in span:
-        for _ in range(per):
-            used += 1
-            nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
-            if not has_containing_maximal(nu):
-                continue
-            report = verify_roundtrip(nu)
-            if not report.ok:
-                bad = lambda m: has_containing_maximal(m) and not verify_roundtrip(m).ok
-                return used, _matrix_failure(
-                    "roundtrip-reduced", nu, bad, "roundtrip flags failed"
-                )
-            if report.input_reduced:
-                if intersect_maximal(report.vertices) != nu:
-                    bad = (
-                        lambda m: is_reduced(m)
-                        and intersect_maximal(verify_roundtrip(m).vertices) != m
-                    )
-                    return used, _matrix_failure(
-                        "roundtrip-reduced",
-                        nu,
-                        bad,
-                        "reduced matrix not recovered from its vertices",
-                    )
-    return used, None
-
-
-def _check_vertex_intersection(rng, config):
-    span, per = _per_n(config, cap=2500)
-    used = 0
-    for n in span:
-        for _ in range(per):
-            used += 1
-            family = [random_vertex(rng, n) for _ in range(rng.randint(1, 6))]
-            mu = intersect_maximal(family)
-            vertices = maximal_orders_containing(mu)
-            members = {v.m for v in vertices}
-            sub = intersect_maximal(family[: max(1, len(family) - 1)])
-            ok = (
-                is_order(mu)
-                and is_reduced(mu)
-                and all(v.m in members for v in family)
-                and intersect_maximal(vertices) == mu
-                and all(
-                    sub.entries[i][j] <= mu.entries[i][j]
-                    for i in range(n)
-                    for j in range(n)
-                )
-            )
-            if not ok:
-                return used, _plain_failure(
-                    "vertex-intersection",
-                    "intersection of maximal orders misbehaved",
-                    vertices=[list(v.m) for v in family],
-                )
-    return used, None
-
-
-def _check_hijikata_exhaustive(rng, config):
-    lo, hi = config.entry_min, config.entry_max
-    used = 0
-    for a in range(lo, hi + 1):
-        for b in range(lo, hi + 1):
-            used += 1
-            nu = ExponentMatrix([[0, a], [b, 0]])
-            expected_order = a + b >= 0
-            if is_order(nu) != expected_order:
-                return used, _plain_failure(
-                    "hijikata-exhaustive",
-                    "2 x 2 order criterion is the sign of the exponent sum",
-                    input=nu.to_json_dict(),
-                )
-            if not expected_order:
-                try:
-                    hijikata_normal_form(nu)
-                except NotAnOrderError:
-                    continue
-                return used, _plain_failure(
-                    "hijikata-exhaustive",
-                    "normal form accepted a non-order",
-                    input=nu.to_json_dict(),
-                )
-            level = hijikata_normal_form(nu)
-            points = enumerate_lattice_points(polytope_of(nu))
-            coords = [p.coords[1] for p in points]
-            endpoints = [ApartmentVertex([0, -a]), ApartmentVertex([0, b])]
-            ok = (
-                level == a + b
-                and coords == list(range(-a, b + 1))
-                and intersect_maximal(endpoints) == nu
-            )
-            if not ok:
-                return used, _plain_failure(
-                    "hijikata-exhaustive",
-                    "geodesic data disagrees with the level",
-                    input=nu.to_json_dict(),
-                )
-    return used, None
-
-
-def _check_valuation_axioms(rng, config):
-    trials = min(config.trials, 1500)
-    for t in range(trials):
-        p = (2, 3, 5)[t % 3]
-        a = LocalScalar(
-            Fraction(rng.randint(-300, 300), rng.randint(1, 120)), p
-        )
-        b = LocalScalar(
-            Fraction(rng.randint(-300, 300), rng.randint(1, 120)), p
-        )
-        va, vb = a.valuation(), b.valuation()
-        if (a * b).valuation() != va + vb:
-            return trials, _plain_failure(
-                "valuation-axioms", "multiplicativity failed", a=str(a.value), b=str(b.value), prime=p
-            )
-        vs = (a + b).valuation()
-        if vs < min(va, vb):
-            return trials, _plain_failure(
-                "valuation-axioms", "ultrametric bound failed", a=str(a.value), b=str(b.value), prime=p
-            )
-        if va != vb and vs != min(va, vb):
-            return trials, _plain_failure(
-                "valuation-axioms",
-                "ultrametric equality failed for distinct valuations",
-                a=str(a.value),
-                b=str(b.value),
-                prime=p,
-            )
-    return trials, None
-
-
-def _check_integral_conjugation(rng, config):
-    trials = min(config.trials, 600)
-    for t in range(trials):
-        p = (2, 3, 5)[t % 3]
-        n = rng.randint(2, 3)
-        v = random_vertex(rng, n, -3, 3)
-        xi = LocalMatrix.power_diagonal([-e for e in v.m], p)
-        A = random_integral_matrix(rng, n, p)
-        if not lambda_membership(conjugate(xi, A), v):
-            return trials, _plain_failure(
-                "integral-conjugation",
-                "conjugate of an integral matrix left the maximal order",
-                vertex=list(v.m),
-                prime=p,
-            )
+def _integral_conjugation(rng, config, t):
+    p = (2, 3, 5)[t % 3]
+    n = rng.randint(2, 3)
+    v = random_vertex(rng, n, -3, 3)
+    xi = LocalMatrix.power_diagonal([-e for e in v.m], p)
+    A = random_integral_matrix(rng, n, p)
+    if not lambda_membership(conjugate(xi, A), v):
+        note = "conjugate of an integral matrix left the maximal order"
+    else:
         member = random_local_matrix(rng, n, p, val_lo=0, val_hi=2)
         # scale row i, column j by p^(m_i - m_j), so its valuation is at
         # least m_i - m_j; the common factor p^shift keeps numerators integral
@@ -719,257 +660,199 @@ def _check_integral_conjugation(rng, config):
             p,
         )
         back = conjugate(LocalMatrix.power_diagonal(m, p), B)
-        if not back.is_integral():
-            return trials, _plain_failure(
-                "integral-conjugation",
-                "member of the maximal order did not conjugate back integrally",
-                vertex=list(v.m),
-                prime=p,
-            )
-    return trials, None
+        if back.is_integral():
+            return None
+        note = "member of the maximal order did not conjugate back integrally"
+    return note, {"vertex": list(v.m), "prime": p}
 
 
-def _check_triangular_form(rng, config):
-    trials = min(config.trials, 400)
-    for t in range(trials):
-        p = (2, 3, 5)[t % 3]
-        n = rng.randint(2, 3)
-        H = random_triangular_form(rng, n, p)
-        form, transform = hermite_normal_form(H)
-        if form.matrix != H:
-            return trials, _plain_failure(
-                "triangular-form",
-                "canonical input was not a fixed point",
-                input=H.to_json_dict(),
-            )
-        U = random_unit_matrix(rng, n, p)
-        form2, transform2 = hermite_normal_form(U @ H)
-        ok = (
-            form2.matrix == H
-            and form2.exponents == form.exponents
-            and transform2.is_integral()
-            and rational_valuation(transform2.det(), p) == 0
-            and transform2 @ (U @ H) == form2.matrix
+def _triangular_form(rng, config, t):
+    p = (2, 3, 5)[t % 3]
+    n = rng.randint(2, 3)
+    H = random_triangular_form(rng, n, p)
+    form, transform = hermite_normal_form(H)
+    if form.matrix != H:
+        return "canonical input was not a fixed point", {"input": H.to_json_dict()}
+    U = random_unit_matrix(rng, n, p)
+    form2, transform2 = hermite_normal_form(U @ H)
+    ok = (
+        form2.matrix == H
+        and form2.exponents == form.exponents
+        and transform2.is_integral()
+        and rational_valuation(transform2.det(), p) == 0
+        and transform2 @ (U @ H) == form2.matrix
+    )
+    if not ok:
+        return (
+            "left unit changed the canonical form",
+            {"input": H.to_json_dict(), "unit": U.to_json_dict()},
         )
-        if not ok:
-            return trials, _plain_failure(
-                "triangular-form",
-                "left unit changed the canonical form",
-                input=H.to_json_dict(),
-                unit=U.to_json_dict(),
-            )
-    return trials, None
+    return None
 
 
-def _check_diagonal_witness(rng, config):
-    trials = min(config.trials, 400)
-    for t in range(trials):
-        p = (2, 3, 5)[t % 3]
-        n = rng.randint(2, 3)
-        H = random_triangular_form(rng, n, p)
-        form, _ = hermite_normal_form(H)
-        if form.is_diagonal():
-            xi = form.matrix
-            xi_inv = xi.inverse()
-            for bits in itertools.product((0, 1), repeat=n):
-                D = LocalMatrix.diagonal(bits, p)
-                if not (xi @ D @ xi_inv).is_integral():
-                    return trials, _plain_failure(
-                        "diagonal-witness",
-                        "diagonal form conjugated a 0/1 diagonal non-integrally",
-                        input=H.to_json_dict(),
-                    )
-            try:
-                diagonal_witness(form)
-            except AlreadyDiagonalError:
-                continue
-            return trials, _plain_failure(
-                "diagonal-witness",
-                "witness search should fail on a diagonal form",
-                input=H.to_json_dict(),
-            )
+def _diagonal_witness(rng, config, t):
+    p = (2, 3, 5)[t % 3]
+    n = rng.randint(2, 3)
+    H = random_triangular_form(rng, n, p)
+    form, _ = hermite_normal_form(H)
+    if form.is_diagonal():
+        xi = form.matrix
+        xi_inv = xi.inverse()
+        for bits in itertools.product((0, 1), repeat=n):
+            D = LocalMatrix.diagonal(bits, p)
+            if not (xi @ D @ xi_inv).is_integral():
+                note = "diagonal form conjugated a 0/1 diagonal non-integrally"
+                return note, {"input": H.to_json_dict()}
+        try:
+            diagonal_witness(form)
+        except AlreadyDiagonalError:
+            return None
+        note = "witness search should fail on a diagonal form"
+    else:
         D = diagonal_witness(form)
         conj = form.matrix @ D @ form.matrix.inverse()
-        if conj.is_integral():
-            return trials, _plain_failure(
-                "diagonal-witness",
-                "returned witness conjugates integrally",
-                input=H.to_json_dict(),
-            )
-    return trials, None
+        if not conj.is_integral():
+            return None
+        note = "returned witness conjugates integrally"
+    return note, {"input": H.to_json_dict()}
 
 
-def _check_ring_closure(rng, config):
-    trials = min(config.trials, 150)
-    for t in range(trials):
-        p = (2, 3, 5)[t % 3]
-        n = rng.randint(config.n_min, config.n_max)
-        nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
-        result = ring_closure_check(
-            nu, trials=40, seed=rng.randrange(_SEED_MASK), prime=p
+def _ring_closure(rng, config, t):
+    p = (2, 3, 5)[t % 3]
+    n = rng.randint(config.n_min, config.n_max)
+    nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
+    result = ring_closure_check(
+        nu, trials=40, seed=rng.randrange(_SEED_MASK), prime=p
+    )
+    if is_order(nu):
+        if result is True:
+            return None
+        note = "sampled product escaped an order"
+    elif result is True:
+        note = "non-order reported as closed"
+    else:
+        A, B = result
+        ok = (
+            in_split_order(A, nu)
+            and in_split_order(B, nu)
+            and not in_split_order(A @ B, nu)
         )
-        if is_order(nu):
-            if result is not True:
-                return trials, _plain_failure(
-                    "ring-closure",
-                    "sampled product escaped an order",
-                    input=nu.to_json_dict(),
-                )
-        else:
-            if result is True:
-                return trials, _plain_failure(
-                    "ring-closure",
-                    "non-order reported as closed",
-                    input=nu.to_json_dict(),
-                )
-            A, B = result
-            ok = (
-                in_split_order(A, nu)
-                and in_split_order(B, nu)
-                and not in_split_order(A @ B, nu)
-            )
-            if not ok:
-                return trials, _plain_failure(
-                    "ring-closure",
-                    "deterministic witness is not a genuine escape",
-                    input=nu.to_json_dict(),
-                )
-    return trials, None
+        if ok:
+            return None
+        note = "deterministic witness is not a genuine escape"
+    return note, {"input": nu.to_json_dict()}
 
 
-def _check_membership_transport(rng, config):
-    trials = min(config.trials, 120)
+def _membership_transport(rng, config, t):
     p = config.prime
-    for _ in range(trials):
-        n = 3
-        gamma = random_change_of_basis(rng, n, p)
-        ap = Apartment(gamma)
-        family = [random_vertex(rng, n, -3, 3) for _ in range(rng.randint(1, 4))]
-        S = intersect_in_apartment(ap, family)
-        for k in range(20):
-            if k % 2 == 0:
-                A = random_local_matrix(rng, n, p)
-            else:
-                A = ap.from_standard(
-                    sample_split_order_element(S.nu, rng, p)
-                )
-            pulled = ap.to_standard(A)
-            direct = general_membership(S, A)
-            per_vertex = all(lambda_membership(pulled, v) for v in family)
-            if direct != per_vertex:
-                return trials, _plain_failure(
-                    "membership-transport",
-                    "hull membership and per-vertex membership disagree",
-                    gamma=gamma.to_json_dict(),
-                    vertices=[list(v.m) for v in family],
-                )
-            if k % 2 == 1 and not direct:
-                return trials, _plain_failure(
-                    "membership-transport",
-                    "transported sharp element rejected",
-                    gamma=gamma.to_json_dict(),
-                    vertices=[list(v.m) for v in family],
-                )
+    n = 3
+    gamma = random_change_of_basis(rng, n, p)
+    ap = Apartment(gamma)
+    family = [random_vertex(rng, n, -3, 3) for _ in range(rng.randint(1, 4))]
+    S = intersect_in_apartment(ap, family)
+    note = None
+    for k in range(20):
+        if k % 2 == 0:
+            A = random_local_matrix(rng, n, p)
+        else:
+            A = ap.from_standard(
+                sample_split_order_element(S.nu, rng, p)
+            )
+        pulled = ap.to_standard(A)
+        direct = general_membership(S, A)
+        per_vertex = all(lambda_membership(pulled, v) for v in family)
+        if direct != per_vertex:
+            note = "hull membership and per-vertex membership disagree"
+            break
+        if k % 2 == 1 and not direct:
+            note = "transported sharp element rejected"
+            break
+    else:
         idem = ap.from_standard(LocalMatrix.matrix_unit(n, 0, 0, p))
         if not general_membership(S, idem):
-            return trials, _plain_failure(
-                "membership-transport",
-                "conjugated diagonal idempotent rejected",
-                gamma=gamma.to_json_dict(),
-                vertices=[list(v.m) for v in family],
-            )
-        # a member pair multiplies to a member: the order is a ring
-        left = ap.from_standard(sample_split_order_element(S.nu, rng, p))
-        right = ap.from_standard(sample_split_order_element(S.nu, rng, p))
-        if not general_membership(S, left @ right):
-            return trials, _plain_failure(
-                "membership-transport",
-                "product of members escaped the order",
-                gamma=gamma.to_json_dict(),
-                vertices=[list(v.m) for v in family],
-            )
-    return trials, None
+            note = "conjugated diagonal idempotent rejected"
+        else:
+            # a member pair multiplies to a member: the order is a ring
+            left = ap.from_standard(sample_split_order_element(S.nu, rng, p))
+            right = ap.from_standard(sample_split_order_element(S.nu, rng, p))
+            if general_membership(S, left @ right):
+                return None
+            note = "product of members escaped the order"
+    return note, {
+        "gamma": gamma.to_json_dict(),
+        "vertices": [list(v.m) for v in family],
+    }
 
 
-def _check_divisor_invariance(rng, config):
-    trials = min(config.trials, 150)
+def _divisor_invariance(rng, config, t):
     p = config.prime
-    for _ in range(trials):
-        n = 3
-        u = random_vertex(rng, n, -3, 3)
-        v = random_vertex(rng, n, -3, 3)
-        L, Lp = lattice_basis(u, p), lattice_basis(v, p)
-        expected = tuple(sorted(b - a for a, b in zip(u.m, v.m)))
-        if elementary_divisors(L, Lp) != expected:
-            return trials, _plain_failure(
-                "divisor-invariance",
-                "diagonal lattice pair has wrong divisors",
-                u=list(u.m),
-                v=list(v.m),
-            )
-        gamma = random_change_of_basis(rng, n, p)
-        if not divisor_invariance_check(gamma, L, Lp):
-            return trials, _plain_failure(
-                "divisor-invariance",
-                "divisors changed under transport",
-                u=list(u.m),
-                v=list(v.m),
-                gamma=gamma.to_json_dict(),
-            )
-        M = random_change_of_basis(rng, n, p)
-        Mp = random_change_of_basis(rng, n, p)
-        if not divisor_invariance_check(gamma, M, Mp):
-            return trials, _plain_failure(
-                "divisor-invariance",
-                "divisors of a generic pair changed under transport",
-                gamma=gamma.to_json_dict(),
-            )
-    return trials, None
+    n = 3
+    u = random_vertex(rng, n, -3, 3)
+    v = random_vertex(rng, n, -3, 3)
+    L, Lp = lattice_basis(u, p), lattice_basis(v, p)
+    expected = tuple(sorted(b - a for a, b in zip(u.m, v.m)))
+    if elementary_divisors(L, Lp) != expected:
+        return (
+            "diagonal lattice pair has wrong divisors",
+            {"u": list(u.m), "v": list(v.m)},
+        )
+    gamma = random_change_of_basis(rng, n, p)
+    if not divisor_invariance_check(gamma, L, Lp):
+        return (
+            "divisors changed under transport",
+            {"u": list(u.m), "v": list(v.m), "gamma": gamma.to_json_dict()},
+        )
+    M = random_change_of_basis(rng, n, p)
+    Mp = random_change_of_basis(rng, n, p)
+    if not divisor_invariance_check(gamma, M, Mp):
+        return (
+            "divisors of a generic pair changed under transport",
+            {"gamma": gamma.to_json_dict()},
+        )
+    return None
 
 
-def _check_incidence_transport(rng, config):
-    trials = min(config.trials, 200)
+def _incidence_transport(rng, config, t):
     p = config.prime
-    for _ in range(trials):
-        n = rng.randint(2, 3)
-        u = random_vertex(rng, n, -2, 2)
-        v = random_vertex(rng, n, -2, 2)
-        if u == v:
-            continue
-        L, Lp = lattice_basis(u, p), lattice_basis(v, p)
-        gamma = random_change_of_basis(rng, n, p)
-        direct = incident(u, v)
-        via_divisors = incident_lattices(L, Lp)
-        transported = incident_lattices(gamma @ L, gamma @ Lp)
-        if not (direct == via_divisors == transported):
-            return trials, _plain_failure(
-                "incidence-transport",
-                "incidence not stable under transport",
-                u=list(u.m),
-                v=list(v.m),
-            )
-    return trials, None
+    n = rng.randint(2, 3)
+    u = random_vertex(rng, n, -2, 2)
+    v = random_vertex(rng, n, -2, 2)
+    if u == v:
+        return None
+    L, Lp = lattice_basis(u, p), lattice_basis(v, p)
+    gamma = random_change_of_basis(rng, n, p)
+    direct = incident(u, v)
+    via_divisors = incident_lattices(L, Lp)
+    transported = incident_lattices(gamma @ L, gamma @ Lp)
+    if not (direct == via_divisors == transported):
+        return (
+            "incidence not stable under transport",
+            {"u": list(u.m), "v": list(v.m)},
+        )
+    return None
 
 
-CHECKS: tuple[tuple[str, Callable], ...] = (
-    ("reject-nonzero-diagonal", _check_reject_bad_diagonal),
-    ("feasibility-cycle-scan", _check_feasibility_cycle_scan),
-    ("hull-path-scan", _check_hull_path_scan),
-    ("hull-properties", _check_hull_properties),
-    ("order-iff-reduced", _check_order_iff_reduced),
-    ("max-difference-enumeration", _check_max_difference_enumeration),
-    ("roundtrip-reduced", _check_roundtrip_reduced),
-    ("vertex-intersection", _check_vertex_intersection),
-    ("hijikata-exhaustive", _check_hijikata_exhaustive),
-    ("valuation-axioms", _check_valuation_axioms),
-    ("integral-conjugation", _check_integral_conjugation),
-    ("triangular-form", _check_triangular_form),
-    ("diagonal-witness", _check_diagonal_witness),
-    ("ring-closure", _check_ring_closure),
-    ("membership-transport", _check_membership_transport),
-    ("divisor-invariance", _check_divisor_invariance),
-    ("incidence-transport", _check_incidence_transport),
+# every check, in run order; run_fuzz seeds check i from (seed, i)
+_RECORDS = (
+    Check("reject-nonzero-diagonal", _reject_bad_diagonal, cap=300),
+    Check("feasibility-cycle-scan", predicate=_feasibility_cycle_scan, per_n=True, cap=2500),
+    Check("hull-path-scan", predicate=_hull_path_scan, per_n=True, cap=2500),
+    Check("hull-properties", predicate=_hull_properties, per_n=True),
+    Check("order-iff-reduced", predicate=_order_iff_reduced, per_n=True),
+    Check("max-difference-enumeration", _max_difference_enumeration, per_n=True, cap=1200),
+    Check("roundtrip-reduced", predicate=_roundtrip_reduced, per_n=True),
+    Check("vertex-intersection", _vertex_intersection, per_n=True, cap=2500),
+    Check("hijikata-exhaustive", _hijikata_exhaustive, cap=_grid_cells),
+    Check("valuation-axioms", _valuation_axioms, cap=1500),
+    Check("integral-conjugation", _integral_conjugation, cap=600),
+    Check("triangular-form", _triangular_form, cap=400),
+    Check("diagonal-witness", _diagonal_witness, cap=400),
+    Check("ring-closure", _ring_closure, cap=150),
+    Check("membership-transport", _membership_transport, cap=120),
+    Check("divisor-invariance", _divisor_invariance, cap=150),
+    Check("incidence-transport", _incidence_transport, cap=200),
 )
+CHECKS: tuple[tuple[str, Callable], ...] = tuple((c.name, c) for c in _RECORDS)
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:

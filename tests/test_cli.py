@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +243,22 @@ def test_fuzz_is_deterministic(capsys):
     main(["fuzz", "--trials", "40", "--seed", "5"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--seed", "1", "--trials", "300"], "fuzz_seed1_trials300.txt"),
+        (
+            ["--seed", "7", "--prime", "3", "--n", "5", "--trials", "300"],
+            "fuzz_seed7_prime3_n5_trials300.txt",
+        ),
+    ],
+)
+def test_fuzz_replays_golden_output(capsys, argv, golden):
+    assert main(["fuzz", *argv]) == 0
+    expected = (Path(__file__).parent / "golden" / golden).read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_run_config_validation():

@@ -157,8 +157,9 @@ def test_max_difference_check_catches_an_off_by_one_closure(monkeypatch, delta):
     """
     from splitorders import fuzz, polytope
 
+    check = dict(fuzz.CHECKS)["max-difference-enumeration"]
     config = fuzz.FuzzConfig(trials=60, seed=5)
-    assert fuzz._check_max_difference_enumeration(random.Random(5), config)[1] is None
+    assert check(random.Random(5), config)[1] is None
     real = polytope.minplus_closure
 
     def off_by_one(upper):
@@ -168,7 +169,7 @@ def test_max_difference_check_catches_an_off_by_one_closure(monkeypatch, delta):
         return closed
 
     monkeypatch.setattr(polytope, "minplus_closure", off_by_one)
-    _, failure = fuzz._check_max_difference_enumeration(random.Random(5), config)
+    _, failure = check(random.Random(5), config)
     assert failure is not None and "pair (0, 1)" in failure["note"]
 
 
