@@ -26,7 +26,7 @@ from .errors import (
     SingularConjugatorError,
     SingularInputError,
 )
-from .exponent import ExponentMatrix, order_hull
+from .exponent import ExponentMatrix
 from .polytope import is_reduced
 
 
@@ -150,11 +150,10 @@ def intersect_in_apartment(
     """Intersection of the maximal orders at the given vertices of the apartment.
 
     The exponent data is computed in the standard frame and is already
-    reduced, so the hull step is the identity; the frame of ``ap`` only
-    tags the result.
+    reduced, so it needs no hull step; the frame of ``ap`` only tags the
+    result.
     """
-    hull = order_hull(intersect_maximal(vertices))
-    return GeneralSplitOrder(ap, hull)
+    return GeneralSplitOrder(ap, intersect_maximal(vertices))
 
 
 def lattice_basis(v: ApartmentVertex, prime: int) -> LocalMatrix:

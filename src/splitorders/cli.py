@@ -4,7 +4,12 @@ Exit codes are a stable contract: 0 is success (for ``check``, an order),
 1 is a domain failure (a non-order, an infeasible hull, a fuzz
 counterexample), 2 is unusable input (bad flags, unreadable file,
 malformed JSON).  Output is deterministic for a fixed (input, seed)
-pair.
+pair.  Commands print results and raise; only ``main`` prints ``error:``.
+``UsageError`` exits 2, as does a ``fuzz`` range whose widest region box,
+(2 max(--max, 0) + 1)^(--n - 1) cells, is over the enumeration guard.
+Other ``SplitOrderError``s exit 1: a negative cycle, a region over the
+guard, an empty or mixed vertex list, ``hijikata`` at n != 2, ``draw``
+at n != 3.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ._record import FrozenRecord
 from .correspondence import ApartmentVertex, intersect_maximal, verify_roundtrip
-from .errors import EnumerationLimitError, NegativeCycleError, SplitOrderError
+from .errors import SplitOrderError
 from .exponent import (
     ExponentMatrix,
     first_violation,
@@ -38,8 +43,8 @@ class RunConfig(FrozenRecord):
     """One resolved invocation of the tool."""
 
     __match_args__ = (
-        "subcommand", "input_path", "out_path", "prime", "n_min", "n_max",
-        "entry_min", "entry_max", "trials", "seed", "scale", "margin",
+        "subcommand", "input_path", "out_path", "prime", "n_max",
+        "entry_min", "entry_max", "trials", "seed", "scale",
     )
 
     def __init__(
@@ -48,22 +53,19 @@ class RunConfig(FrozenRecord):
         input_path: Optional[str] = None,
         out_path: Optional[str] = None,
         prime: int = 2,
-        n_min: int = 2,
         n_max: int = 4,
         entry_min: int = -3,
         entry_max: int = 5,
         trials: int = 10000,
         seed: int = 0,
         scale: float = 40.0,
-        margin: float = 1.5,
     ):
-        if 2 <= n_min <= n_max <= MAX_DIMENSION:
-            dimension_error = None
-        else:
+        dimension_error = None
+        if not 2 <= n_max <= MAX_DIMENSION:
             dimension_error = f"dimension range must satisfy 2 <= n <= {MAX_DIMENSION}"
         try:
-            check_fuzz_fields(trials, entry_min, entry_max, prime, dimension_error)
-            check_drawing_options(scale, margin)
+            check_fuzz_fields(trials, entry_min, entry_max, n_max, prime, dimension_error)
+            check_drawing_options(scale)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         fields = self.__dict__
@@ -71,14 +73,12 @@ class RunConfig(FrozenRecord):
         fields["input_path"] = input_path
         fields["out_path"] = out_path
         fields["prime"] = prime
-        fields["n_min"] = n_min
         fields["n_max"] = n_max
         fields["entry_min"] = entry_min
         fields["entry_max"] = entry_max
         fields["trials"] = trials
         fields["seed"] = seed
         fields["scale"] = scale
-        fields["margin"] = margin
 
 
 def _read_text(path: str) -> str:
@@ -101,23 +101,20 @@ def _load_json(path: str):
         raise UsageError(f"{path}: not valid JSON (nested too deeply)") from exc
 
 
-def _load_matrix(path: str) -> ExponentMatrix:
+def _exponent_matrix(data) -> ExponentMatrix:
     """Exponent matrix from a JSON object {"n": ..., "nu": ...} or bare rows."""
+    if isinstance(data, list):
+        return ExponentMatrix(data)
+    return ExponentMatrix.from_json_dict(data)
+
+
+def _load(path: str, build: Callable = _exponent_matrix, noun: str = "an exponent matrix"):
+    """``build`` applied to the JSON in ``path``; bad data is a UsageError."""
     data = _load_json(path)
     try:
-        if isinstance(data, list):
-            return ExponentMatrix(data)
-        return ExponentMatrix.from_json_dict(data)
+        return build(data)
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{path}: not an exponent matrix ({exc})") from exc
-
-
-def _load_vertices(path: str) -> list[ApartmentVertex]:
-    data = _load_json(path)
-    try:
-        return [ApartmentVertex(coords) for coords in data]
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"{path}: not a vertex list ({exc})") from exc
+        raise UsageError(f"{path}: not {noun} ({exc})") from exc
 
 
 def _bool(flag: bool) -> str:
@@ -125,7 +122,7 @@ def _bool(flag: bool) -> str:
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    nu = _load_matrix(cfg.input_path)
+    nu = _load(cfg.input_path)
     order = is_order(nu)
     feasible = has_containing_maximal(nu)
     print(f"order: {_bool(order)}")
@@ -143,53 +140,42 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_hull(cfg: RunConfig) -> int:
-    nu = _load_matrix(cfg.input_path)
-    if not has_containing_maximal(nu):
-        print("error: no containing maximal order (negative cycle)", file=sys.stderr)
-        return 1
+    nu = _load(cfg.input_path)
     print(json.dumps(order_hull(nu).to_json_dict()))
     return 0
 
 
 def cmd_vertices(cfg: RunConfig) -> int:
-    nu = _load_matrix(cfg.input_path)
-    try:
-        points = enumerate_lattice_points(polytope_of(nu))
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    nu = _load(cfg.input_path)
+    points = enumerate_lattice_points(polytope_of(nu))
     print(json.dumps([list(p.coords) for p in points]))
     print(f"{len(points)} lattice points", file=sys.stderr)
     return 0
 
 
 def cmd_intersect(cfg: RunConfig) -> int:
-    vertices = _load_vertices(cfg.input_path)
+    vertices = _load(cfg.input_path, lambda data: list(map(ApartmentVertex, data)), "a vertex list")
     mu = intersect_maximal(vertices)
     print(json.dumps(mu.to_json_dict()))
     return 0
 
 
 def cmd_roundtrip(cfg: RunConfig) -> int:
-    nu = _load_matrix(cfg.input_path)
-    try:
-        report = verify_roundtrip(nu)
-    except NegativeCycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    nu = _load(cfg.input_path)
+    report = verify_roundtrip(nu)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.ok else 1
 
 
 def cmd_hijikata(cfg: RunConfig) -> int:
-    nu = _load_matrix(cfg.input_path)
+    nu = _load(cfg.input_path)
     print(hijikata_normal_form(nu))
     return 0
 
 
 def cmd_draw(cfg: RunConfig) -> int:
-    nu = _load_matrix(cfg.input_path)
-    svg = render_polytope_svg(nu, scale=cfg.scale, margin=cfg.margin)
+    nu = _load(cfg.input_path)
+    svg = render_polytope_svg(nu, scale=cfg.scale)
     try:
         with open(cfg.out_path, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -201,7 +187,6 @@ def cmd_draw(cfg: RunConfig) -> int:
 
 def cmd_fuzz(cfg: RunConfig) -> int:
     config = FuzzConfig(
-        n_min=cfg.n_min,
         n_max=cfg.n_max,
         entry_min=cfg.entry_min,
         entry_max=cfg.entry_max,
@@ -241,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def matrix_command(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="JSON file, or - for standard input")
+        p.add_argument("input_path", metavar="input", help="JSON file, or - for standard input")
         return p
 
     matrix_command("check", "decide whether an exponent matrix gives an order")
@@ -250,50 +235,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "intersect", help="exponent matrix of an intersection of maximal orders"
     )
-    p.add_argument("input", help="JSON list of vertex coordinate lists, or -")
+    p.add_argument("input_path", metavar="input", help="JSON list of vertex coordinate lists, or -")
     matrix_command("roundtrip", "verify the shape -> vertices -> intersection round trip")
     matrix_command("hijikata", "level of a 2 x 2 order")
     p = matrix_command("draw", "render the region of a 3 x 3 matrix as SVG")
-    p.add_argument("--out", required=True, help="output SVG path")
+    p.add_argument("--out", required=True, dest="out_path", metavar="OUT", help="output SVG path")
     p.add_argument("--scale", type=float, default=40.0, help="pixels per lattice step")
     p = sub.add_parser("fuzz", help="run the randomized invariant suites")
     p.add_argument("--trials", type=int, default=10000, help="sample budget per suite")
     p.add_argument("--seed", type=int, default=0, help="master seed, replayable")
-    p.add_argument("--n", type=int, default=4, help="largest matrix dimension")
+    p.add_argument(
+        "--n", type=int, default=4, dest="n_max", metavar="N", help="largest matrix dimension"
+    )
     p.add_argument("--min", type=int, default=-3, dest="entry_min", help="smallest exponent")
     p.add_argument("--max", type=int, default=5, dest="entry_max", help="largest exponent")
     p.add_argument("--prime", type=int, default=2, help="residue characteristic")
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    kwargs = {"subcommand": ns.subcommand}
-    if hasattr(ns, "input"):
-        kwargs["input_path"] = ns.input
-    if hasattr(ns, "out"):
-        kwargs["out_path"] = ns.out
-    if hasattr(ns, "scale"):
-        kwargs["scale"] = ns.scale
-    for name in ("trials", "seed", "prime", "entry_min", "entry_max"):
-        if hasattr(ns, name):
-            kwargs[name] = getattr(ns, name)
-    if hasattr(ns, "n"):
-        kwargs["n_max"] = ns.n
-    return RunConfig(**kwargs)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = _config(ns)
+        cfg = RunConfig(**vars(ns))
         return _COMMANDS[cfg.subcommand](cfg)
-    except UsageError as exc:
+    except (UsageError, SplitOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SplitOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1

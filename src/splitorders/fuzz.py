@@ -78,6 +78,7 @@ from .exponent import (
     order_hull,
 )
 from .polytope import (
+    DEFAULT_POINT_LIMIT,
     enumerate_lattice_points,
     is_empty,
     is_reduced,
@@ -96,6 +97,7 @@ def check_fuzz_fields(
     trials: int,
     entry_min: int,
     entry_max: int,
+    n_max: int,
     prime: int,
     dimension_error: Optional[str],
 ) -> None:
@@ -103,7 +105,10 @@ def check_fuzz_fields(
 
     Checks the trial count and the entry range, then raises
     ``dimension_error`` when the caller found its dimensions out of range,
-    then checks the prime; the first failure is the one reported.
+    then checks the prime, and last that the widest region box a trial can
+    enumerate, ``(2 * max(entry_max, 0) + 1) ** (n_max - 1)`` cells, stays
+    within ``polytope.DEFAULT_POINT_LIMIT``; the first failure is the one
+    reported.
 
     Raises ValueError.
     """
@@ -114,6 +119,12 @@ def check_fuzz_fields(
     if dimension_error is not None:
         raise ValueError(dimension_error)
     check_prime(prime)
+    cells = (2 * max(entry_max, 0) + 1) ** (n_max - 1)
+    if cells > DEFAULT_POINT_LIMIT:
+        raise ValueError(
+            f"entry range too wide: a region box at n = {n_max} can have {cells} "
+            f"cells, more than {DEFAULT_POINT_LIMIT}"
+        )
 
 
 class FuzzConfig(FrozenRecord):
@@ -139,7 +150,7 @@ class FuzzConfig(FrozenRecord):
             dimension_error = f"dimensions above {MAX_DIMENSION} are not supported"
         else:
             dimension_error = None
-        check_fuzz_fields(trials, entry_min, entry_max, prime, dimension_error)
+        check_fuzz_fields(trials, entry_min, entry_max, n_max, prime, dimension_error)
         fields = self.__dict__
         fields["n_min"] = n_min
         fields["n_max"] = n_max

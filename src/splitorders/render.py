@@ -32,10 +32,10 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def check_drawing_options(scale: float, margin: float) -> None:
+def check_drawing_options(scale: float, margin: float = 1.5) -> None:
     """Raises ValueError unless ``scale`` (pixels per lattice step) is finite
-    and positive and ``margin`` (lattice steps around the box) finite and
-    non-negative."""
+    and positive and ``margin`` (lattice steps around the box, by default the
+    renderer's) finite and non-negative."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError("scale must be a positive finite number")
     if not (math.isfinite(margin) and margin >= 0):

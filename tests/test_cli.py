@@ -91,6 +91,20 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["main", "check", "hull", "vertices", "intersect", "roundtrip", "hijikata", "draw", "fuzz"],
+)
+def test_help_matches_golden(monkeypatch, capsys, command):
+    """Parser dests are named after RunConfig fields; help text must not show it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "main" else [command, "--help"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (Path(__file__).parent / "golden" / "help" / f"{command}.txt").read_text()
+
+
 def test_hull(nu_prime_file, capsys):
     assert main(["hull", nu_prime_file]) == 0
     assert json.loads(capsys.readouterr().out) == NU
@@ -101,6 +115,41 @@ def test_hull_negative_cycle(tmp_path, capsys):
     path.write_text(json.dumps({"n": 2, "nu": [[0, -2], [1, 0]]}))
     assert main(["hull", str(path)]) == 1
     assert "negative cycle" in capsys.readouterr().err
+
+
+def test_hull_and_roundtrip_print_the_same_negative_cycle_line(tmp_path, capsys):
+    path = tmp_path / "cyc.json"
+    path.write_text("[[0, -2], [1, 0]]")
+    for command in ("hull", "roundtrip"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: exponent matrix has a negative cycle; no order contains it\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["intersect"], "[]", "intersection over an empty vertex family"),
+        (["intersect"], "[[0, 1], [0, 1, 2]]", "vertices of different dimension"),
+        (["hijikata"], json.dumps(NU), "normal form needs n = 2, got n = 3"),
+        (["draw", "--out", "x.svg"], "[[0, 1], [1, 0]]", "drawing needs n = 3, got n = 2"),
+        (
+            ["vertices"],
+            "[[0, 1000, 1000], [1000, 0, 1000], [1000, 1000, 0]]",
+            "bounding box has more than 1000000 cells",
+        ),
+    ],
+    ids=["intersect-empty", "intersect-mixed", "hijikata-n3", "draw-n2", "vertices-guard"],
+)
+def test_domain_failures_exit_one_with_one_error_line(
+    tmp_path, monkeypatch, capsys, argv, text, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input.json").write_text(text)
+    assert main([argv[0], "input.json", *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_vertices(nu_file, capsys):
@@ -212,14 +261,6 @@ def test_draw_rejects_non_finite_scale(nu_file, tmp_path, capsys, scale):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -5.0])
-def test_run_config_rejects_bad_margin(margin):
-    with pytest.raises(UsageError) as info:
-        RunConfig("draw", "in.json", "out.svg", margin=margin)
-    assert str(info.value) == "margin must be a non-negative finite number"
-    assert RunConfig("draw", "in.json", "out.svg", margin=0.0).margin == 0.0
-
-
 def test_fuzz_rejects_non_prime(capsys):
     assert main(["fuzz", "--prime", "4", "--trials", "1"]) == 2
     captured = capsys.readouterr()
@@ -227,6 +268,16 @@ def test_fuzz_rejects_non_prime(capsys):
     assert captured.err == "error: 4 is not prime\n"
     with pytest.raises(ValueError):
         FuzzConfig(prime=4)
+
+
+def test_fuzz_rejects_an_entry_range_past_the_enumeration_guard(capsys):
+    """A wide range used to run for seconds and then exit 1 from one check's guard."""
+    assert main(["fuzz", "--max", "100", "--trials", "30", "--seed", "1"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: entry range too wide: a region box at n = 4 can have 8120601 cells, "
+        "more than 1000000\n",
+    )
 
 
 def test_fuzz_small_run(capsys):

@@ -2,7 +2,8 @@
 
 Whatever JSON a file holds, ``cli.main`` returns 0, 1 or 2 and raises
 nothing; exit 2 (unusable input) writes exactly one ``error:`` line to
-stderr.  Entries stay small or are a few fixed extremes, so each example
+stderr, and whenever an ``error:`` line is written, at exit 1 as well, it
+is the only stderr line and stdout is empty.  Entries stay small or are a few fixed extremes, so each example
 runs in milliseconds.
 """
 
@@ -83,12 +84,13 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _check_contract(code, err):
+def _check_contract(code, out, err):
     assert code in (0, 1, 2)
-    if code == 2:
-        lines = err.splitlines()
+    lines = err.splitlines()
+    if code == 2 or any(line.startswith("error:") for line in lines):
         assert len(lines) == 1, err
         assert lines[0].startswith("error: ")
+        assert out == "", out
 
 
 @pytest.mark.parametrize("command", FILE_COMMANDS)
@@ -102,8 +104,8 @@ def test_main_on_arbitrary_json_files(command, doc):
         argv = [command, path]
         if command == "draw":
             argv += ["--out", os.path.join(tmp, "out.svg")]
-        code, _, err = _run(argv)
-    _check_contract(code, err)
+        code, out, err = _run(argv)
+    _check_contract(code, out, err)
 
 
 @SETTINGS
@@ -118,5 +120,5 @@ def test_main_on_arbitrary_json_files(command, doc):
 def test_fuzz_on_arbitrary_flags(trials, seed, n, entry_min, entry_max, prime):
     argv = ["fuzz", "--trials", str(trials), "--seed", str(seed), "--n", str(n),
             "--min", str(entry_min), "--max", str(entry_max), "--prime", str(prime)]
-    code, _, err = _run(argv)
-    _check_contract(code, err)
+    code, out, err = _run(argv)
+    _check_contract(code, out, err)

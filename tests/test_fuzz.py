@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from splitorders.cli import RunConfig, UsageError
 from splitorders.dvr import hermite_normal_form, rational_valuation
 from splitorders.exponent import ExponentMatrix, has_containing_maximal
 from splitorders.fuzz import (
@@ -17,6 +18,7 @@ from splitorders.fuzz import (
     random_unit_matrix,
     run_fuzz,
 )
+from splitorders.polytope import DEFAULT_POINT_LIMIT
 
 
 def test_config_validation():
@@ -30,6 +32,24 @@ def test_config_validation():
         FuzzConfig(n_min=3, n_max=2)
     with pytest.raises(ValueError):
         FuzzConfig(n_max=7)
+
+
+@pytest.mark.parametrize("n_max, widest", [(4, 49), (6, 7)])
+def test_entry_range_stays_within_the_enumeration_guard(n_max, widest):
+    """The widest region box, (2 max + 1)^(n - 1) cells, must fit the guard."""
+    assert FuzzConfig(n_max=n_max, entry_max=widest).entry_max == widest
+    assert RunConfig("fuzz", n_max=n_max, entry_max=widest).entry_max == widest
+    cells = (2 * widest + 3) ** (n_max - 1)
+    message = (
+        f"entry range too wide: a region box at n = {n_max} can have {cells} cells, "
+        f"more than {DEFAULT_POINT_LIMIT}"
+    )
+    with pytest.raises(ValueError) as info:
+        FuzzConfig(n_max=n_max, entry_max=widest + 1)
+    assert str(info.value) == message
+    with pytest.raises(UsageError) as info:
+        RunConfig("fuzz", n_max=n_max, entry_max=widest + 1)
+    assert str(info.value) == message
 
 
 def test_small_run_passes_and_is_deterministic():

@@ -340,7 +340,9 @@ def test_failure_at_trial_k_reports_k_trials(
 
 
 def test_hijikata_grid_respects_the_trial_budget():
-    trials, failure = _run("hijikata-exhaustive", trials=5, entry_min=-300, entry_max=300)
+    trials, failure = _run(
+        "hijikata-exhaustive", trials=5, n_max=2, entry_min=-300, entry_max=300
+    )
     assert (trials, failure) == (5, None)
     assert _run("hijikata-exhaustive", trials=10**4) == (81, None)
     assert _run("hijikata-exhaustive", trials=80) == (80, None)

@@ -118,31 +118,29 @@ INSTANCES = {
     "run-config": (
         lambda: RunConfig("check"),
         "RunConfig(subcommand='check', input_path=None, out_path=None, prime=2, "
-        "n_min=2, n_max=4, entry_min=-3, entry_max=5, trials=10000, seed=0, "
-        "scale=40.0, margin=1.5)",
+        "n_max=4, entry_min=-3, entry_max=5, trials=10000, seed=0, scale=40.0)",
         (
-            "subcommand", "input_path", "out_path", "prime", "n_min", "n_max",
-            "entry_min", "entry_max", "trials", "seed", "scale", "margin",
+            "subcommand", "input_path", "out_path", "prime", "n_max",
+            "entry_min", "entry_max", "trials", "seed", "scale",
         ),
     ),
     "run-config-keyword": (
         lambda: RunConfig("draw", "in.json", "out.svg", scale=25.0),
         "RunConfig(subcommand='draw', input_path='in.json', out_path='out.svg', "
-        "prime=2, n_min=2, n_max=4, entry_min=-3, entry_max=5, trials=10000, "
-        "seed=0, scale=25.0, margin=1.5)",
+        "prime=2, n_max=4, entry_min=-3, entry_max=5, trials=10000, "
+        "seed=0, scale=25.0)",
         (
-            "subcommand", "input_path", "out_path", "prime", "n_min", "n_max",
-            "entry_min", "entry_max", "trials", "seed", "scale", "margin",
+            "subcommand", "input_path", "out_path", "prime", "n_max",
+            "entry_min", "entry_max", "trials", "seed", "scale",
         ),
     ),
     "run-config-positional": (
-        lambda: RunConfig("fuzz", None, None, 3, 2, 5, -1, 2, 50, 7, 40.0, 1.5),
+        lambda: RunConfig("fuzz", None, None, 3, 5, -1, 2, 50, 7, 40.0),
         "RunConfig(subcommand='fuzz', input_path=None, out_path=None, prime=3, "
-        "n_min=2, n_max=5, entry_min=-1, entry_max=2, trials=50, seed=7, "
-        "scale=40.0, margin=1.5)",
+        "n_max=5, entry_min=-1, entry_max=2, trials=50, seed=7, scale=40.0)",
         (
-            "subcommand", "input_path", "out_path", "prime", "n_min", "n_max",
-            "entry_min", "entry_max", "trials", "seed", "scale", "margin",
+            "subcommand", "input_path", "out_path", "prime", "n_max",
+            "entry_min", "entry_max", "trials", "seed", "scale",
         ),
     ),
 }
@@ -220,7 +218,7 @@ def test_defaults_and_stored_values():
     s = LocalScalar(6, 3)
     assert type(s.value) is Fraction and s.value == 6 and s.valuation() == 1
     cfg = RunConfig("fuzz", trials=5)
-    assert (cfg.trials, cfg.seed, cfg.scale, cfg.margin) == (5, 0, 40.0, 1.5)
+    assert (cfg.trials, cfg.seed, cfg.scale, cfg.n_max) == (5, 0, 40.0, 4)
     assert RoundtripReport(*[getattr(_report(), f) for f in INSTANCES["roundtrip"][2]]) == (
         _report()
     )
@@ -303,6 +301,13 @@ def test_local_scalar_validation(value, prime, error, message):
         ({"n_max": 9, "prime": 4}, "dimensions above 6 are not supported"),
         ({"n_min": 1, "prime": 4}, "need 2 <= n_min <= n_max"),
         ({"n_min": 8, "n_max": 7, "prime": 9}, "need 2 <= n_min <= n_max"),
+        (
+            {"entry_max": 50},
+            "entry range too wide: a region box at n = 4 can have 1030301 cells, "
+            "more than 1000000",
+        ),
+        ({"entry_max": 50, "prime": 4}, "4 is not prime"),
+        ({"entry_max": 50, "n_max": 7}, "dimensions above 6 are not supported"),
     ],
 )
 def test_fuzz_config_validation(kwargs, message):
@@ -316,8 +321,8 @@ def test_fuzz_config_validation(kwargs, message):
     [
         ({"trials": 0}, "trial count must be >= 1"),
         ({"entry_min": 3, "entry_max": -3}, "entry range is empty"),
-        ({"n_min": 1}, "dimension range must satisfy 2 <= n <= 6"),
-        ({"n_min": 3, "n_max": 2}, "dimension range must satisfy 2 <= n <= 6"),
+        ({"n_max": 1}, "dimension range must satisfy 2 <= n <= 6"),
+        ({"n_max": -3}, "dimension range must satisfy 2 <= n <= 6"),
         ({"n_max": 7}, "dimension range must satisfy 2 <= n <= 6"),
         ({"prime": 4}, "4 is not prime"),
         ({"prime": 1}, "prime must be >= 2, got 1"),
@@ -338,6 +343,11 @@ def test_fuzz_config_validation(kwargs, message):
         ),
         ({"n_max": 9, "prime": 4, "scale": 0.0}, "dimension range must satisfy 2 <= n <= 6"),
         ({"prime": 4, "scale": 0.0}, "4 is not prime"),
+        (
+            {"n_max": 6, "entry_max": 8, "scale": 0.0},
+            "entry range too wide: a region box at n = 6 can have 1419857 cells, "
+            "more than 1000000",
+        ),
     ],
 )
 def test_run_config_validation(kwargs, message):
