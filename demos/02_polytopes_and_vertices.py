@@ -24,7 +24,7 @@ print("bounds on x_3 - x_2:", P.difference_range(2, 1))
 points = enumerate_lattice_points(P)
 print(f"\n{len(points)} integer points:")
 for p in points:
-    print(" ", p.coords)
+    print(" ", p.m)
 
 # the sharpest achievable difference is a shortest-path value, not the
 # declared entry; for a reduced matrix the two always agree
@@ -36,4 +36,4 @@ Q = polytope_of(nu_prime)
 print("\nnu' declares x_3 >= -2 but the region stops at -1:")
 print("max of x_1 - x_3:", max_difference(Q, 0, 2), "(declared:", nu_prime.entries[0][2], ")")
 print("is_reduced(nu'):", is_reduced(nu_prime))
-print("same points as nu:", [p.coords for p in enumerate_lattice_points(Q)] == [p.coords for p in points])
+print("same points as nu:", [p.m for p in enumerate_lattice_points(Q)] == [p.m for p in points])

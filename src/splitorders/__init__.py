@@ -72,7 +72,6 @@ from .exponent import (
 from .fuzz import FuzzConfig, FuzzReport, run_fuzz
 from .polytope import (
     DifferencePolytope,
-    LatticePoint,
     enumerate_lattice_points,
     is_empty,
     is_reduced,
@@ -98,7 +97,6 @@ __all__ = [
     "GeneralSplitOrder",
     "HermiteForm",
     "INFINITE",
-    "LatticePoint",
     "LocalMatrix",
     "LocalScalar",
     "NegativeCycleError",

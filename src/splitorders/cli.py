@@ -148,7 +148,7 @@ def cmd_hull(cfg: RunConfig) -> int:
 def cmd_vertices(cfg: RunConfig) -> int:
     nu = _load(cfg.input_path)
     points = enumerate_lattice_points(polytope_of(nu))
-    print(json.dumps([list(p.coords) for p in points]))
+    print(json.dumps([list(p.m) for p in points]))
     print(f"{len(points)} lattice points", file=sys.stderr)
     return 0
 

@@ -13,61 +13,18 @@ other.
 from __future__ import annotations
 
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._record import FrozenRecord
 from .errors import DimensionMismatchError, EmptyVertexListError
-from .exponent import ExponentMatrix, int_tuple, order_hull
+from .exponent import ExponentMatrix, order_hull
 from .polytope import (
     DEFAULT_POINT_LIMIT,
+    ApartmentVertex,
     enumerate_lattice_points,
     is_reduced,
     polytope_of,
 )
-
-
-class ApartmentVertex:
-    """Vertex of the standard apartment, normalized so the first coordinate is 0."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, coords: Iterable[int]):
-        m = int_tuple(coords)
-        if len(m) < 2:
-            raise ValueError("vertex needs at least 2 coordinates")
-        if m[0] != 0:
-            base = m[0]
-            m = tuple(x - base for x in m)
-        self.m = m
-
-    @classmethod
-    def _trusted(cls, tuples: Iterable[tuple[int, ...]]) -> list["ApartmentVertex"]:
-        """Vertices at tuples of plain ints with first coordinate 0, unchecked."""
-        new = object.__new__
-        vertices = []
-        for m in tuples:
-            v = new(cls)
-            v.m = m
-            vertices.append(v)
-        return vertices
-
-    @property
-    def n(self) -> int:
-        return len(self.m)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ApartmentVertex):
-            return NotImplemented
-        return self.m == other.m
-
-    def __hash__(self) -> int:
-        return hash(self.m)
-
-    def __lt__(self, other: "ApartmentVertex") -> bool:
-        return self.m < other.m
-
-    def __repr__(self) -> str:
-        return f"ApartmentVertex({list(self.m)})"
 
 
 def maximal_order_exponents(v: ApartmentVertex) -> ExponentMatrix:
@@ -105,8 +62,7 @@ def maximal_orders_containing(
     i, j.  Note the criterion is the system of difference bounds, not an
     entrywise comparison of exponent matrices.
     """
-    points = enumerate_lattice_points(polytope_of(nu), max_points=max_points)
-    return ApartmentVertex._trusted(p.coords for p in points)
+    return enumerate_lattice_points(polytope_of(nu), max_points=max_points)
 
 
 class RoundtripReport(FrozenRecord):

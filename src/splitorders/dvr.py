@@ -323,9 +323,6 @@ class LocalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.nums[i][j], self.den)
 
-    def scalar(self, i: int, j: int) -> LocalScalar:
-        return LocalScalar(self.entry(i, j), self.prime)
-
     def fractions(self) -> tuple[tuple[Fraction, ...], ...]:
         den = self.den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.nums)

@@ -490,7 +490,8 @@ def _hull_path_scan(nu):
 def _hull_properties(nu):
     n = nu.n
     feasible = has_containing_maximal(nu)
-    if is_order(nu) and not feasible:
+    nu_is_order = is_order(nu)
+    if nu_is_order and not feasible:
         return "an order must admit a containing maximal order"
     if not feasible:
         return None
@@ -503,7 +504,7 @@ def _hull_properties(nu):
             for i in range(n)
             for j in range(n)
         )
-        and (is_order(nu) == (hull == nu))
+        and (nu_is_order == (hull == nu))
     )
     if not ok:
         return "hull not an idempotent dominated order"
@@ -556,7 +557,7 @@ def _max_difference_enumeration(rng, config, n):
     points = enumerate_lattice_points(P)
     if not points:
         return "nonempty region enumerated no points", {"input": nu.to_json_dict()}
-    cols = list(zip(*(p.coords for p in points)))
+    cols = list(zip(*(p.m for p in points)))
     for i in range(n):
         for j in range(n):
             brute = max(map(operator.sub, cols[i], cols[j]))
@@ -615,7 +616,7 @@ def _hijikata_exhaustive(rng, config, t):
     else:
         level = hijikata_normal_form(nu)
         points = enumerate_lattice_points(polytope_of(nu))
-        coords = [p.coords[1] for p in points]
+        coords = [p.m[1] for p in points]
         endpoints = [ApartmentVertex([0, -a]), ApartmentVertex([0, b])]
         ok = (
             level == a + b

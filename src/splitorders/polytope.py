@@ -38,10 +38,6 @@ class DifferencePolytope:
         self.n = n
         self.upper = rows
 
-    def difference_bound(self, i: int, j: int) -> int:
-        """Declared upper bound on x_i - x_j."""
-        return self.upper[i][j]
-
     def difference_range(self, i: int, j: int) -> tuple[int, int]:
         """Declared two-sided bound (lo, hi) with lo <= x_i - x_j <= hi."""
         return (-self.upper[j][i], self.upper[i][j])
@@ -73,46 +69,48 @@ class DifferencePolytope:
         return f"DifferencePolytope([{rows}])"
 
 
-class LatticePoint:
-    """Integer point of a difference region; the first coordinate is always 0."""
+class ApartmentVertex:
+    """Vertex of the standard apartment, normalized so the first coordinate is 0."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("m",)
 
     def __init__(self, coords: Iterable[int]):
-        c = int_tuple(coords)
-        if len(c) < 2:
-            raise ValueError("lattice point needs at least 2 coordinates")
-        if c[0] != 0:
-            raise ValueError(f"first coordinate must be 0, got {c[0]}")
-        self.coords = c
+        m = int_tuple(coords)
+        if len(m) < 2:
+            raise ValueError("vertex needs at least 2 coordinates")
+        if m[0] != 0:
+            base = m[0]
+            m = tuple(x - base for x in m)
+        self.m = m
 
     @classmethod
-    def _trusted(cls, tuples: Iterable[tuple[int, ...]]) -> list["LatticePoint"]:
-        """Points at tuples of plain ints with first coordinate 0, unchecked."""
+    def _trusted(cls, tuples: Iterable[tuple[int, ...]]) -> list["ApartmentVertex"]:
+        """Vertices at tuples of plain ints with first coordinate 0, unchecked."""
         new = object.__new__
-        points = []
-        for c in tuples:
-            point = new(cls)
-            point.coords = c
-            points.append(point)
-        return points
+        vertices = []
+        for m in tuples:
+            v = new(cls)
+            v.m = m
+            vertices.append(v)
+        return vertices
+
+    @property
+    def n(self) -> int:
+        return len(self.m)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LatticePoint):
+        if not isinstance(other, ApartmentVertex):
             return NotImplemented
-        return self.coords == other.coords
+        return self.m == other.m
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash(self.m)
 
-    def __lt__(self, other: "LatticePoint") -> bool:
-        return self.coords < other.coords
-
-    def __iter__(self):
-        return iter(self.coords)
+    def __lt__(self, other: "ApartmentVertex") -> bool:
+        return self.m < other.m
 
     def __repr__(self) -> str:
-        return f"LatticePoint({list(self.coords)})"
+        return f"ApartmentVertex({list(self.m)})"
 
 
 def polytope_of(nu: ExponentMatrix) -> DifferencePolytope:
@@ -143,7 +141,7 @@ def max_difference(P: DifferencePolytope, i: int, j: int) -> int:
 
 def enumerate_lattice_points(
     P: DifferencePolytope, *, max_points: int = DEFAULT_POINT_LIMIT
-) -> list[LatticePoint]:
+) -> list[ApartmentVertex]:
     """All integer points of the region, in lexicographic coordinate order.
 
     Scans the bounding box ``-upper[0][i] <= x_i <= upper[i][0]`` and keeps
@@ -187,7 +185,7 @@ def enumerate_lattice_points(
                 extend(children, idx + 1)
 
     extend([(0,)], 1)
-    return LatticePoint._trusted(points)
+    return ApartmentVertex._trusted(points)
 
 
 def is_reduced(nu: ExponentMatrix) -> bool:

@@ -148,7 +148,7 @@ def render_polytope_svg(
 
     region = ET.SubElement(root, "g", {"id": "region", "fill": "#1a1a1a"})
     for point in points:
-        _, x2, x3 = point.coords
+        _, x2, x3 = point.m
         sx, sy = to_screen(x2, x3)
         ET.SubElement(
             region,

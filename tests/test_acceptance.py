@@ -88,8 +88,8 @@ def test_criterion_2_polytope_match():
     assert P.difference_range(2, 0) == (-1, 3)
     assert P.difference_range(2, 1) == (-1, 2)
 
-    ours = [p.coords for p in enumerate_lattice_points(P)]
-    theirs = [p.coords for p in enumerate_lattice_points(polytope_of(NU_PRIME))]
+    ours = [p.m for p in enumerate_lattice_points(P)]
+    theirs = [p.m for p in enumerate_lattice_points(polytope_of(NU_PRIME))]
     assert ours == theirs
     assert len(ours) == 13
     named = [(0, 0, -1), (0, 3, 2), (0, 3, 3), (0, 1, 3), (0, 0, 2)]
@@ -200,7 +200,7 @@ def test_criterion_7_hijikata_specialization():
             assert is_order(nu)
             level = hijikata_normal_form(nu)
             assert level == a + b
-            points = [p.coords for p in enumerate_lattice_points(polytope_of(nu))]
+            points = [p.m for p in enumerate_lattice_points(polytope_of(nu))]
             assert points == [(0, x) for x in range(-a, b + 1)]
             assert len(points) == level + 1
             endpoints = [ApartmentVertex([0, -a]), ApartmentVertex([0, b])]

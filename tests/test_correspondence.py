@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import splitorders.correspondence
+import splitorders.polytope
 from splitorders.correspondence import (
     ApartmentVertex,
     intersect_maximal,
@@ -87,8 +89,36 @@ def test_intersection_input_validation():
 def test_containing_maximal_orders_are_the_lattice_points():
     points = enumerate_lattice_points(polytope_of(NU))
     vertices = maximal_orders_containing(NU)
-    assert [v.m for v in vertices] == [p.coords for p in points]
+    assert [v.m for v in vertices] == [p.m for p in points]
     assert len(vertices) == 13
+    _assert_points_are_the_vertices(NU)
+
+
+def test_lattice_points_intersect_back_to_reduced_matrices():
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        nu = ExponentMatrix(
+            [[rng.randint(-2, 4) if i != j else 0 for j in range(n)] for i in range(n)]
+        )
+        if not is_order(nu):
+            continue
+        assert is_reduced(nu)
+        _assert_points_are_the_vertices(nu)
+        checked += 1
+    assert checked > 50
+
+
+def _assert_points_are_the_vertices(nu):
+    """The paper's identity, on the enumerated points as they come."""
+    assert splitorders.correspondence.ApartmentVertex is splitorders.polytope.ApartmentVertex
+    points = enumerate_lattice_points(polytope_of(nu))
+    assert intersect_maximal(points) == nu
+    assert maximal_orders_containing(nu) == points
+    for p in points:
+        assert type(p) is ApartmentVertex
+        assert type(p.m) is tuple and all(type(x) is int for x in p.m)
 
 
 def test_roundtrip_on_the_worked_example():

@@ -35,7 +35,6 @@ from splitorders.exponent import ExponentMatrix, has_containing_maximal, order_h
 from splitorders.fuzz import random_change_of_basis, random_unit_matrix
 from splitorders.polytope import (
     DifferencePolytope,
-    LatticePoint,
     enumerate_lattice_points,
     is_reduced,
     polytope_of,
@@ -66,7 +65,7 @@ def _matrices(seed, count_per_n, lo, hi):
 def _assert_enumeration_matches(nu):
     points = enumerate_lattice_points(polytope_of(nu))
     expected = naive_box_points(nu.entries)
-    assert [p.coords for p in points] == expected
+    assert [p.m for p in points] == expected
     assert [v.m for v in maximal_orders_containing(nu)] == expected
     return expected
 
@@ -138,7 +137,7 @@ def test_enumeration_box_limit():
         enumerate_lattice_points(P, max_points=7)
     # the limit counts the declared box, not the box of the closed bounds
     nu = ExponentMatrix([[0, 9, 0], [9, 0, 0], [0, 0, 0]])  # 19 x 1 box, 1 point
-    assert [p.coords for p in enumerate_lattice_points(polytope_of(nu), max_points=19)] == [
+    assert [p.m for p in enumerate_lattice_points(polytope_of(nu), max_points=19)] == [
         (0, 0, 0)
     ]
     with pytest.raises(EnumerationLimitError):
@@ -255,19 +254,19 @@ def test_enumerated_points_equal_validated_points():
     vertices = maximal_orders_containing(nu)
     assert len(points) == len(vertices) > 10
     for p, v in zip(points, vertices):
-        assert type(p) is LatticePoint and type(v) is ApartmentVertex
-        assert type(p.coords) is tuple and type(v.m) is tuple
-        assert all(type(x) is int for x in p.coords)
-        checked_p = LatticePoint(list(p.coords))
+        assert type(p) is ApartmentVertex and type(v) is ApartmentVertex
+        assert type(p.m) is tuple and type(v.m) is tuple
+        assert all(type(x) is int for x in p.m)
+        checked_p = ApartmentVertex(list(p.m))
         checked_v = ApartmentVertex(list(v.m))
         assert p == checked_p and hash(p) == hash(checked_p)
         assert v == checked_v and hash(v) == hash(checked_v)
         assert repr(p) == repr(checked_p) and repr(v) == repr(checked_v)
-        assert list(p) == list(checked_p) and v.n == checked_v.n == 4
+        assert list(p.m) == list(checked_p.m) and v.n == checked_v.n == 4
     assert points == sorted(points)
     assert vertices == sorted(vertices)
     assert len(set(points)) == len(points)
-    assert set(vertices) == {ApartmentVertex(p.coords) for p in points}
+    assert set(vertices) == {ApartmentVertex(p.m) for p in points}
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +401,6 @@ def test_constructors_reject_non_integer_entries(bad):
     with pytest.raises((TypeError, ValueError)):
         DifferencePolytope([[0, bad], [1, 0]])
     with pytest.raises((TypeError, ValueError)):
-        LatticePoint([0, bad])
-    with pytest.raises((TypeError, ValueError)):
         ApartmentVertex([0, bad])
 
 
@@ -412,5 +409,4 @@ def test_constructors_accept_integral_floats():
     assert nu.entries == ((0, 2), (-1, 0))
     assert all(type(x) is int for row in nu.entries for x in row)
     assert DifferencePolytope([[0.0, 2], [1, 0]]).upper == ((0, 2), (1, 0))
-    assert LatticePoint([0, 3.0]).coords == (0, 3)
     assert ApartmentVertex([1.0, 3]).m == (0, 2)

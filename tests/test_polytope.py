@@ -5,7 +5,7 @@ import pytest
 from splitorders.errors import EmptyPolytopeError, EnumerationLimitError
 from splitorders.exponent import ExponentMatrix, minplus_closure
 from splitorders.polytope import (
-    LatticePoint,
+    ApartmentVertex,
     enumerate_lattice_points,
     is_empty,
     is_reduced,
@@ -36,14 +36,14 @@ def test_worked_example_bounds():
 
 def test_worked_example_points():
     points = enumerate_lattice_points(polytope_of(NU))
-    assert [p.coords for p in points] == EXPECTED_POINTS
+    assert [p.m for p in points] == EXPECTED_POINTS
 
 
 def test_variant_cuts_out_the_same_region():
     """The redundant constraint x3 >= -2 removes no lattice point."""
     ours = enumerate_lattice_points(polytope_of(NU))
     theirs = enumerate_lattice_points(polytope_of(NU_PRIME))
-    assert [p.coords for p in ours] == [p.coords for p in theirs]
+    assert [p.m for p in ours] == [p.m for p in theirs]
 
 
 def test_named_vertices_lie_in_the_region():
@@ -56,13 +56,13 @@ def test_named_vertices_lie_in_the_region():
 
 def test_zero_matrix_region_is_the_origin():
     points = enumerate_lattice_points(polytope_of(ExponentMatrix([[0, 0], [0, 0]])))
-    assert [p.coords for p in points] == [(0, 0)]
+    assert [p.m for p in points] == [(0, 0)]
 
 
 def test_geodesic_interval():
     nu = ExponentMatrix([[0, 1], [2, 0]])
     points = enumerate_lattice_points(polytope_of(nu))
-    assert [p.coords for p in points] == [(0, -1), (0, 0), (0, 1), (0, 2)]
+    assert [p.m for p in points] == [(0, -1), (0, 0), (0, 1), (0, 2)]
 
 
 def test_empty_region():
@@ -96,7 +96,7 @@ def test_enumeration_matches_naive_box_scan():
     for _ in range(500):
         n = rng.randint(2, 4)
         nu = _random(rng, n)
-        got = [p.coords for p in enumerate_lattice_points(polytope_of(nu))]
+        got = [p.m for p in enumerate_lattice_points(polytope_of(nu))]
         assert got == naive_box_points(nu.entries)
 
 
@@ -110,7 +110,7 @@ def test_max_difference_matches_point_maximum():
         if is_empty(P):
             continue
         checked += 1
-        pts = [p.coords for p in enumerate_lattice_points(P)]
+        pts = [p.m for p in enumerate_lattice_points(P)]
         for i in range(n):
             for j in range(n):
                 assert max_difference(P, i, j) == brute_max_difference(pts, i, j)
@@ -142,12 +142,10 @@ def test_is_reduced_means_fixed_by_closure():
 
 
 def test_lattice_point_validation():
-    with pytest.raises(ValueError):
-        LatticePoint((1, 0, 0))
-    p = LatticePoint((0, 2, 1))
-    q = LatticePoint((0, 2, 2))
+    p = ApartmentVertex((0, 2, 1))
+    q = ApartmentVertex((0, 2, 2))
     assert p < q and p != q
-    assert list(p) == [0, 2, 1]
+    assert list(p.m) == [0, 2, 1]
 
 
 def _random(rng, n, lo=-3, hi=5):

@@ -45,7 +45,7 @@ def test_worked_example_draws_thirteen_dots():
     root = _root(render_polytope_svg(NU))
     dots = _region_dots(root)
     assert len(dots) == 13
-    expected = {f"pt_{p.coords[1]}_{p.coords[2]}" for p in enumerate_lattice_points(polytope_of(NU))}
+    expected = {f"pt_{p.m[1]}_{p.m[2]}" for p in enumerate_lattice_points(polytope_of(NU))}
     assert {d.get("id") for d in dots} == expected
 
 
