@@ -47,9 +47,12 @@ def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
         raise EmptyVertexListError("intersection over an empty vertex family")
     if len(set(map(len, ms))) > 1:
         raise DimensionMismatchError("vertices of different dimension")
-    # column i holds coordinate i of every vertex
+    # column i holds coordinate i of every vertex; on the diagonal ci is cj,
+    # every difference is 0, and the scan is skipped
     cols = list(zip(*ms))
-    return ExponentMatrix([[max(map(sub, ci, cj)) for cj in cols] for ci in cols])
+    return ExponentMatrix(
+        [[0 if ci is cj else max(map(sub, ci, cj)) for cj in cols] for ci in cols]
+    )
 
 
 def maximal_orders_containing(

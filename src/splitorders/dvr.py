@@ -21,7 +21,6 @@ import itertools
 import math
 import operator
 import random
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from ._record import FrozenRecord
@@ -37,7 +36,22 @@ from .exponent import ExponentMatrix, first_violation
 
 INFINITE = math.inf  # valuation of zero
 
-_RationalLike = Union[int, str, Fraction]
+
+def Fraction(*args):
+    """Stand-in for ``fractions.Fraction`` until the first Fraction is built.
+
+    ``fractions`` loads ``decimal``, so importing it here would slow every
+    import of the package, also for commands that build no Fraction.  The
+    first call imports it and rebinds this module's name ``Fraction`` to
+    the class; later calls reach the class directly.
+    """
+    global Fraction
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
+_RationalLike = Union[int, str, "Fraction"]
 
 
 # The least strong pseudoprime to all of the first 13 prime bases (2 to 41)
@@ -226,10 +240,74 @@ def _eliminate(a: list, choose, jordan: bool = False) -> tuple[list[int], int]:
     return minors, sign
 
 
-def _mul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
-    """Product of two square integer matrices given as rows."""
+def _mul_rows_general(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
+    """Product of two square integer matrices given as rows, for any n."""
     cols = list(zip(*b))
     return [tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a]
+
+
+def _mul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
+    """Product of two square integer matrices given as rows.
+
+    n = 2 and n = 3, the sizes nearly every caller works at, are written
+    out entry by entry; other sizes take the general loop.
+    """
+    n = len(a)
+    if n == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+        return [
+            (
+                a00 * b00 + a01 * b10 + a02 * b20,
+                a00 * b01 + a01 * b11 + a02 * b21,
+                a00 * b02 + a01 * b12 + a02 * b22,
+            ),
+            (
+                a10 * b00 + a11 * b10 + a12 * b20,
+                a10 * b01 + a11 * b11 + a12 * b21,
+                a10 * b02 + a11 * b12 + a12 * b22,
+            ),
+            (
+                a20 * b00 + a21 * b10 + a22 * b20,
+                a20 * b01 + a21 * b11 + a22 * b21,
+                a20 * b02 + a21 * b12 + a22 * b22,
+            ),
+        ]
+    if n == 2:
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return [
+            (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+        ]
+    return _mul_rows_general(a, b)
+
+
+def _adjugate(a: Sequence[Sequence[int]]) -> tuple[list, int]:
+    """(adj a, det a) of an integer matrix of size 1, 2 or 3, by cofactors.
+
+    Row i of the adjugate holds the cofactors of column i of ``a``, so the
+    determinant is the first row of ``a`` times the first column of the
+    adjugate.
+    """
+    n = len(a)
+    if n == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        c00 = a11 * a22 - a12 * a21
+        c01 = a12 * a20 - a10 * a22
+        c02 = a10 * a21 - a11 * a20
+        adj = [
+            (c00, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11),
+            (c01, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12),
+            (c02, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10),
+        ]
+        return adj, a00 * c00 + a01 * c01 + a02 * c02
+    if n == 2:
+        (a00, a01), (a10, a11) = a
+        return [(a11, -a01), (-a10, a00)], a00 * a11 - a01 * a10
+    if n == 1:
+        return [(1,)], a[0][0]
+    raise ValueError(f"cofactor formulas cover n <= 3, got n = {n}")
 
 
 class LocalMatrix:
@@ -398,6 +476,8 @@ class LocalMatrix:
         )
 
     def det(self) -> Fraction:
+        if self.n <= 3:
+            return Fraction(_adjugate(self.nums)[1], self.den**self.n)
         minors, sign = _eliminate([list(row) for row in self.nums], _first_nonzero)
         if len(minors) < self.n:
             return Fraction(0)
@@ -406,10 +486,19 @@ class LocalMatrix:
     def inverse(self) -> "LocalMatrix":
         """Exact inverse; raises SingularInputError when the determinant is zero.
 
-        Fraction-free Gauss-Jordan on [N | I] ends at [d I | d N^(-1)] with
-        d = +-det N, so the inverse of N / den is den (d N^(-1)) / d.
+        For n <= 3 the inverse of N / den is den adj(N) / det N.  Larger n
+        run fraction-free Gauss-Jordan on [N | I], which ends at
+        [d I | d N^(-1)] with d = +-det N, so the inverse is
+        den (d N^(-1)) / d.
         """
         n = self.n
+        if n <= 3:
+            adj, d = _adjugate(self.nums)
+            if d == 0:
+                raise SingularInputError("matrix is singular")
+            scale = self.den if d > 0 else -self.den
+            rows = [[scale * x for x in row] for row in adj]
+            return LocalMatrix._from_raw(rows, abs(d), self.prime)
         a = [
             list(row) + [int(i == j) for j in range(n)]
             for i, row in enumerate(self.nums)

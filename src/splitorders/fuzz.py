@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from ._record import FrozenRecord
@@ -203,6 +202,25 @@ class FuzzReport(FrozenRecord):
 # random generators
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, drawn straight from ``rng.getrandbits``.
+
+    r = getrandbits(k), with k the bit length of the width hi - lo + 1, is
+    redrawn while r >= width, and lo + r is returned.  That is word for
+    word what ``randint`` consumes, so the value and the state left behind
+    are the same, for ``random.Random`` and any subclass that keeps its
+    ``getrandbits``; only the layers of argument checks are skipped.
+    """
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def random_exponent_matrix(
     rng: random.Random, n: int, lo: int, hi: int
 ) -> ExponentMatrix:
@@ -210,12 +228,12 @@ def random_exponent_matrix(
     for i in range(n):
         for j in range(n):
             if i != j:
-                entries[i][j] = rng.randint(lo, hi)
+                entries[i][j] = _randint(rng, lo, hi)
     return ExponentMatrix(entries)
 
 
 def random_vertex(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> ApartmentVertex:
-    return ApartmentVertex([rng.randint(lo, hi) for _ in range(n)])
+    return ApartmentVertex([_randint(rng, lo, hi) for _ in range(n)])
 
 
 def random_integral_matrix(
@@ -223,7 +241,7 @@ def random_integral_matrix(
 ) -> LocalMatrix:
     if bound is None:
         bound = prime**3
-    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    rows = [[_randint(rng, -bound, bound) for _ in range(n)] for _ in range(n)]
     return LocalMatrix(rows, prime)
 
 
@@ -236,8 +254,8 @@ def random_local_matrix(
     for _ in range(n):
         row = []
         for _ in range(n):
-            num = rng.randint(-(prime**3), prime**3)
-            e = rng.randint(val_lo, val_hi)
+            num = _randint(rng, -(prime**3), prime**3)
+            e = _randint(rng, val_lo, val_hi)
             row.append(num * prime ** (e + shift))
         rows.append(row)
     return LocalMatrix._from_raw(rows, prime**shift, prime)
@@ -259,15 +277,15 @@ def random_unit_matrix(
         kind = rng.randrange(3)
         if kind == 0 and n >= 2:
             i, j = rng.sample(range(n), 2)
-            c = rng.randint(-p * p, p * p)
+            c = _randint(rng, -p * p, p * p)
             for row in rows:
                 row[j] += c * row[i]
         elif kind == 1:
             units = []
             for _ in range(n):
-                w = rng.randint(1, p * p)
+                w = _randint(rng, 1, p * p)
                 while w % p == 0:
-                    w = rng.randint(1, p * p)
+                    w = _randint(rng, 1, p * p)
                 units.append(w if rng.random() < 0.5 else -w)
             rows = [list(map(operator.mul, row, units)) for row in rows]
         else:
@@ -286,7 +304,7 @@ def random_change_of_basis(
 ) -> LocalMatrix:
     """Random invertible matrix over the field: units mixed with diagonal p powers."""
     out = random_unit_matrix(rng, n, prime, steps=steps)
-    powers = [rng.randint(-2, 2) for _ in range(n)]
+    powers = [_randint(rng, -2, 2) for _ in range(n)]
     return out @ LocalMatrix.power_diagonal(powers, prime)
 
 
@@ -295,7 +313,7 @@ def random_triangular_form(
 ) -> LocalMatrix:
     """Matrix already in canonical triangular shape, built entry by entry."""
     p = prime
-    exps = [rng.randint(0, max_exponent) for _ in range(n)]
+    exps = [_randint(rng, 0, max_exponent) for _ in range(n)]
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = p ** exps[i]
@@ -630,6 +648,8 @@ def _hijikata_exhaustive(rng, config, t):
 
 
 def _valuation_axioms(rng, config, t):
+    from fractions import Fraction
+
     p = (2, 3, 5)[t % 3]
     a = LocalScalar(
         Fraction(rng.randint(-300, 300), rng.randint(1, 120)), p

@@ -32,6 +32,7 @@ from splitorders.errors import (
     NegativeCycleError,
 )
 from splitorders.exponent import ExponentMatrix, has_containing_maximal, order_hull
+import splitorders.fuzz as fuzz
 from splitorders.fuzz import random_change_of_basis, random_unit_matrix
 from splitorders.polytope import (
     DifferencePolytope,
@@ -355,6 +356,54 @@ def test_generator_golden_stream():
     digest = hashlib.sha256(repr(acc).encode()).hexdigest()
     assert digest == "f2563c15e6b85204eab2cd4fbf56c8435c6704a981d2cfd53f2f40f4c396a89d"
     assert rng.getrandbits(64) == 15931380275450984282
+
+
+# (lo, hi): widths 1, 2, 2^k and 2^k + 1, and negative lows
+_RANDINT_RANGES = [
+    (0, 0), (-5, -5), (3, 4), (-1, 0), (0, 7), (-8, 7), (1, 16),
+    (0, 8), (-4, 4), (-125, 125), (-(2**70), 2**70), (1, 625),
+]
+
+
+@pytest.mark.parametrize("lo, hi", _RANDINT_RANGES)
+def test_exact_stream_draw_is_randint(lo, hi):
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert fuzz._randint(ours, lo, hi) == theirs.randint(lo, hi)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_exact_stream_draw_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        fuzz._randint(random.Random(0), 1, 0)
+
+
+_STREAM_GENERATORS = [
+    (fuzz.random_exponent_matrix, lambda n, p: (n, -3, 5)),
+    (fuzz.random_vertex, lambda n, p: (n,)),
+    (fuzz.random_vertex, lambda n, p: (n, -3, 3)),
+    (fuzz.random_integral_matrix, lambda n, p: (n, p)),
+    (fuzz.random_local_matrix, lambda n, p: (n, p)),
+    (fuzz.random_local_matrix, lambda n, p: (n, p, -1, 3)),
+    (fuzz.random_unit_matrix, lambda n, p: (n, p)),
+    (fuzz.random_change_of_basis, lambda n, p: (n, p)),
+    (fuzz.random_triangular_form, lambda n, p: (n, p)),
+]
+
+
+@pytest.mark.parametrize("generator, args", _STREAM_GENERATORS)
+def test_generators_replay_the_randint_stream(monkeypatch, generator, args):
+    """Each generator gives the same output and state with _randint as with randint."""
+
+    def run():
+        rng = random.Random(17)
+        out = [repr(generator(rng, *args(n, p))) for n in (2, 3, 4) for p in (2, 3, 5)]
+        return out, rng.getstate()
+
+    ours = run()
+    monkeypatch.setattr(fuzz, "_randint", lambda rng, lo, hi: rng.randint(lo, hi))
+    assert run() == ours
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``import splitorders`` and ``import splitorders.cli`` must not pull in
 ``dataclasses`` (which loads ``inspect``, ``ast``, ``dis`` and
 ``tokenize``) or ``xml.etree.ElementTree``, which only drawing needs and
-``render_polytope_svg`` loads on first use.
+``render_polytope_svg`` loads on first use.  Nor may they load
+``fractions`` (which loads ``decimal``); the first Fraction built loads it.
 """
 
 import json
@@ -31,11 +32,27 @@ print(json.dumps({"added": sorted(added), "after_draw": sorted(sys.modules)}))
 
 NEVER_IMPORTED = ("dataclasses", "inspect", "xml.etree.ElementTree")
 
+FRACTION_PROBE = """
+import json, sys
+before = set(sys.modules)
+import splitorders, splitorders.cli
+from splitorders.dvr import LocalMatrix, LocalScalar
+loaded = [m for m in ("fractions", "decimal") if m in set(sys.modules) - before]
+det = LocalMatrix([[1, 2], [3, 4]], 2).det()
+value = LocalScalar("3/4", 2).value
+from fractions import Fraction
+print(json.dumps({
+    "loaded_before_use": loaded,
+    "real_fractions": [type(det) is Fraction, type(value) is Fraction],
+    "values": [str(det), str(value)],
+}))
+"""
 
-def _probe() -> dict:
+
+def _probe(script: str = PROBE) -> dict:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -51,6 +68,13 @@ def test_import_loads_no_dataclasses_inspect_or_elementtree():
     assert [m for m in NEVER_IMPORTED if m in probe["added"]] == []
     # drawing loads ElementTree on first use
     assert "xml.etree.ElementTree" in probe["after_draw"]
+
+
+def test_import_loads_no_fractions_until_a_fraction_is_built():
+    probe = _probe(FRACTION_PROBE)
+    assert probe["loaded_before_use"] == []
+    assert probe["real_fractions"] == [True, True]
+    assert probe["values"] == ["-2", "3/4"]
 
 
 def test_render_still_returns_the_golden_svg():
