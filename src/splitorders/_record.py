@@ -6,9 +6,9 @@ class FrozenRecord:
     with assignment and deletion refused, as a frozen dataclass has them.
 
     Subclasses store their fields in ``__init__`` straight into the
-    instance ``__dict__``, past ``__setattr__``; that builds a
-    ``RunConfig`` in about half the time ``object.__setattr__`` per field
-    takes.  ``pickle`` and ``copy`` restore instances the same way.
+    instance ``__dict__``, past ``__setattr__``; that builds a record in
+    about half the time ``object.__setattr__`` per field takes.
+    ``pickle`` and ``copy`` restore instances the same way.
     """
 
     __match_args__: tuple[str, ...] = ()

@@ -19,7 +19,6 @@ import json
 import sys
 from typing import Callable, Optional, Sequence
 
-from ._record import FrozenRecord
 from .correspondence import ApartmentVertex, intersect_maximal, verify_roundtrip
 from .errors import SplitOrderError
 from .exponent import (
@@ -30,55 +29,13 @@ from .exponent import (
     is_order,
     order_hull,
 )
-from .fuzz import MAX_DIMENSION, FuzzConfig, check_fuzz_fields, run_fuzz
+from .fuzz import FuzzConfig, run_fuzz
 from .polytope import enumerate_lattice_points, is_reduced, polytope_of
 from .render import check_drawing_options, render_polytope_svg
 
 
 class UsageError(Exception):
     """Input that could not even be parsed; maps to exit code 2."""
-
-
-class RunConfig(FrozenRecord):
-    """One resolved invocation of the tool."""
-
-    __match_args__ = (
-        "subcommand", "input_path", "out_path", "prime", "n_max",
-        "entry_min", "entry_max", "trials", "seed", "scale",
-    )
-
-    def __init__(
-        self,
-        subcommand: str,
-        input_path: Optional[str] = None,
-        out_path: Optional[str] = None,
-        prime: int = 2,
-        n_max: int = 4,
-        entry_min: int = -3,
-        entry_max: int = 5,
-        trials: int = 10000,
-        seed: int = 0,
-        scale: float = 40.0,
-    ):
-        dimension_error = None
-        if not 2 <= n_max <= MAX_DIMENSION:
-            dimension_error = f"dimension range must satisfy 2 <= n <= {MAX_DIMENSION}"
-        try:
-            check_fuzz_fields(trials, entry_min, entry_max, n_max, prime, dimension_error)
-            check_drawing_options(scale)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        fields = self.__dict__
-        fields["subcommand"] = subcommand
-        fields["input_path"] = input_path
-        fields["out_path"] = out_path
-        fields["prime"] = prime
-        fields["n_max"] = n_max
-        fields["entry_min"] = entry_min
-        fields["entry_max"] = entry_max
-        fields["trials"] = trials
-        fields["seed"] = seed
-        fields["scale"] = scale
 
 
 def _read_text(path: str) -> str:
@@ -121,8 +78,8 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    nu = _load(cfg.input_path)
+def cmd_check(ns: argparse.Namespace) -> int:
+    nu = _load(ns.input_path)
     order = is_order(nu)
     feasible = has_containing_maximal(nu)
     print(f"order: {_bool(order)}")
@@ -139,61 +96,68 @@ def cmd_check(cfg: RunConfig) -> int:
     return 1
 
 
-def cmd_hull(cfg: RunConfig) -> int:
-    nu = _load(cfg.input_path)
+def cmd_hull(ns: argparse.Namespace) -> int:
+    nu = _load(ns.input_path)
     print(json.dumps(order_hull(nu).to_json_dict()))
     return 0
 
 
-def cmd_vertices(cfg: RunConfig) -> int:
-    nu = _load(cfg.input_path)
+def cmd_vertices(ns: argparse.Namespace) -> int:
+    nu = _load(ns.input_path)
     points = enumerate_lattice_points(polytope_of(nu))
     print(json.dumps([list(p.m) for p in points]))
     print(f"{len(points)} lattice points", file=sys.stderr)
     return 0
 
 
-def cmd_intersect(cfg: RunConfig) -> int:
-    vertices = _load(cfg.input_path, lambda data: list(map(ApartmentVertex, data)), "a vertex list")
+def cmd_intersect(ns: argparse.Namespace) -> int:
+    vertices = _load(ns.input_path, lambda data: list(map(ApartmentVertex, data)), "a vertex list")
     mu = intersect_maximal(vertices)
     print(json.dumps(mu.to_json_dict()))
     return 0
 
 
-def cmd_roundtrip(cfg: RunConfig) -> int:
-    nu = _load(cfg.input_path)
+def cmd_roundtrip(ns: argparse.Namespace) -> int:
+    nu = _load(ns.input_path)
     report = verify_roundtrip(nu)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.ok else 1
 
 
-def cmd_hijikata(cfg: RunConfig) -> int:
-    nu = _load(cfg.input_path)
+def cmd_hijikata(ns: argparse.Namespace) -> int:
+    nu = _load(ns.input_path)
     print(hijikata_normal_form(nu))
     return 0
 
 
-def cmd_draw(cfg: RunConfig) -> int:
-    nu = _load(cfg.input_path)
-    svg = render_polytope_svg(nu, scale=cfg.scale)
+def cmd_draw(ns: argparse.Namespace) -> int:
     try:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+        check_drawing_options(ns.scale)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    nu = _load(ns.input_path)
+    svg = render_polytope_svg(nu, scale=ns.scale)
+    try:
+        with open(ns.out_path, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
-        raise UsageError(f"cannot write {cfg.out_path}: {exc}") from exc
-    print(f"wrote {cfg.out_path}", file=sys.stderr)
+        raise UsageError(f"cannot write {ns.out_path}: {exc}") from exc
+    print(f"wrote {ns.out_path}", file=sys.stderr)
     return 0
 
 
-def cmd_fuzz(cfg: RunConfig) -> int:
-    config = FuzzConfig(
-        n_max=cfg.n_max,
-        entry_min=cfg.entry_min,
-        entry_max=cfg.entry_max,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        prime=cfg.prime,
-    )
+def cmd_fuzz(ns: argparse.Namespace) -> int:
+    try:
+        config = FuzzConfig(
+            n_max=ns.n_max,
+            entry_min=ns.entry_min,
+            entry_max=ns.entry_max,
+            trials=ns.trials,
+            seed=ns.seed,
+            prime=ns.prime,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = run_fuzz(config)
     print(f"seed: {report.seed}")
     for line in report.summary_lines():
@@ -259,8 +223,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = RunConfig(**vars(ns))
-        return _COMMANDS[cfg.subcommand](cfg)
+        return _COMMANDS[ns.subcommand](ns)
     except (UsageError, SplitOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

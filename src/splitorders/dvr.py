@@ -32,7 +32,7 @@ from .errors import (
     SingularConjugatorError,
     SingularInputError,
 )
-from .exponent import ExponentMatrix, first_violation
+from .exponent import ExponentMatrix, _as_int, first_violation
 
 INFINITE = math.inf  # valuation of zero
 
@@ -52,6 +52,14 @@ def Fraction(*args):
 
 
 _RationalLike = Union[int, str, "Fraction"]
+
+
+def _exact(x, noun: str = "entry"):
+    """x, or the int an integral float stands for; a bool or a
+    non-integral float raises, as an exponent entry does."""
+    if isinstance(x, (bool, float)):
+        return _as_int(x, noun)
+    return x
 
 
 # The least strong pseudoprime to all of the first 13 prime bases (2 to 41)
@@ -85,10 +93,14 @@ def _miller_rabin(p: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    """p as an int; raises ValueError unless it is a prime below PRIME_BOUND."""
+    """p as an int; raises ValueError unless it is a prime below PRIME_BOUND.
+
+    An integral float reads as an int; a bool, a string or another
+    non-integer raises TypeError, a non-integral float ValueError.
+    """
     if type(p) is int and p in _SMALL_PRIMES:
         return p
-    p = int(p)
+    p = _as_int(p, "prime")
     if p < 2:
         raise ValueError(f"prime must be >= 2, got {p}")
     if p >= PRIME_BOUND:
@@ -113,7 +125,7 @@ def _int_valuation(x: int, p: int):
 def rational_valuation(value: _RationalLike, prime: int):
     """p-adic valuation of an exact rational; zero has infinite valuation."""
     prime = check_prime(prime)
-    f = Fraction(value)
+    f = Fraction(_exact(value, "value"))
     if f == 0:
         return INFINITE
     v = _int_valuation(f.numerator, prime)
@@ -129,7 +141,7 @@ class LocalScalar(FrozenRecord):
 
     def __init__(self, value: _RationalLike, prime: int):
         fields = self.__dict__
-        fields["value"] = Fraction(value)
+        fields["value"] = Fraction(_exact(value, "value"))
         fields["prime"] = check_prime(prime)
 
     def valuation(self):
@@ -149,7 +161,7 @@ class LocalScalar(FrozenRecord):
                     f"prime mismatch: {self.prime} vs {other.prime}"
                 )
             return other.value
-        return Fraction(other)
+        return Fraction(_exact(other, "operand"))
 
     def __add__(self, other):
         return LocalScalar(self.value + self._coerce(other), self.prime)
@@ -331,7 +343,7 @@ class LocalMatrix:
             den, nums = 1, tuple(rows)
         else:
             # the lcm of reduced denominators leaves the pair in lowest terms
-            fracs = [[Fraction(x) for x in row] for row in rows]
+            fracs = [[Fraction(_exact(x)) for x in row] for row in rows]
             den = math.lcm(*(f.denominator for row in fracs for f in row))
             nums = tuple(
                 tuple(f.numerator * (den // f.denominator) for f in row)
@@ -466,7 +478,7 @@ class LocalMatrix:
         )
 
     def scale(self, c: _RationalLike) -> "LocalMatrix":
-        f = Fraction(c)
+        f = Fraction(_exact(c, "scale"))
         rows = tuple(tuple(x * f.numerator for x in row) for row in self.nums)
         return LocalMatrix._from_raw(rows, self.den * f.denominator, self.prime)
 

@@ -29,18 +29,19 @@ from .errors import (
 _INT_ONLY = frozenset([int])
 
 
-def _as_int(x) -> int:
-    """x as an int; integral floats convert, other non-integers raise."""
+def _as_int(x, noun: str = "entry") -> int:
+    """x as an int; integral floats convert, other non-integers raise,
+    with ``noun`` naming x in the message."""
     if type(x) is float:
         if x.is_integer():
             return int(x)
-        raise ValueError(f"entry {x!r} is not an integer")
+        raise ValueError(f"{noun} {x!r} is not an integer")
     if not isinstance(x, bool):
         try:
             return operator.index(x)
         except TypeError:
             pass
-    raise TypeError(f"entry {x!r} is not an integer")
+    raise TypeError(f"{noun} {x!r} is not an integer")
 
 
 def int_tuple(values: Iterable) -> tuple[int, ...]:
@@ -114,19 +115,9 @@ def is_order(nu: ExponentMatrix) -> bool:
     """Whether ``S(nu)`` is closed under multiplication.
 
     Checks the triangle inequality ``nu[i][k] + nu[k][j] >= nu[i][j]``
-    for every index triple by direct scan.
+    for every index triple by direct scan, independent of the closure.
     """
-    rows = nu.entries
-    n = nu.n
-    for i in range(n):
-        ri = rows[i]
-        for k in range(n):
-            rik = ri[k]
-            rk = rows[k]
-            for j in range(n):
-                if rik + rk[j] < ri[j]:
-                    return False
-    return True
+    return first_violation(nu) is None
 
 
 def first_violation(nu: ExponentMatrix) -> Optional[tuple[int, int, int]]:

@@ -71,6 +71,7 @@ from .errors import (
 )
 from .exponent import (
     ExponentMatrix,
+    _as_int,
     has_containing_maximal,
     hijikata_normal_form,
     is_order,
@@ -92,42 +93,18 @@ _SEED_MASK = 2**64 - 1
 MAX_DIMENSION = 6
 
 
-def check_fuzz_fields(
-    trials: int,
-    entry_min: int,
-    entry_max: int,
-    n_max: int,
-    prime: int,
-    dimension_error: Optional[str],
-) -> None:
-    """Validate the fields FuzzConfig and cli.RunConfig share.
-
-    Checks the trial count and the entry range, then raises
-    ``dimension_error`` when the caller found its dimensions out of range,
-    then checks the prime, and last that the widest region box a trial can
-    enumerate, ``(2 * max(entry_max, 0) + 1) ** (n_max - 1)`` cells, stays
-    within ``polytope.DEFAULT_POINT_LIMIT``; the first failure is the one
-    reported.
-
-    Raises ValueError.
-    """
-    if trials < 1:
-        raise ValueError("trial count must be >= 1")
-    if entry_min > entry_max:
-        raise ValueError("entry range is empty")
-    if dimension_error is not None:
-        raise ValueError(dimension_error)
-    check_prime(prime)
-    cells = (2 * max(entry_max, 0) + 1) ** (n_max - 1)
-    if cells > DEFAULT_POINT_LIMIT:
-        raise ValueError(
-            f"entry range too wide: a region box at n = {n_max} can have {cells} "
-            f"cells, more than {DEFAULT_POINT_LIMIT}"
-        )
-
-
 class FuzzConfig(FrozenRecord):
-    """Configuration of one driver run; all fields are validated."""
+    """Configuration of one driver run; all fields are validated ints.
+
+    Integral floats read as ints; bools, strings and other non-integers
+    are refused.  The checks run in order, trial count, entry range,
+    dimensions, prime, and last that the widest region box a trial can
+    enumerate, ``(2 * max(entry_max, 0) + 1) ** (n_max - 1)`` cells,
+    stays within ``polytope.DEFAULT_POINT_LIMIT``; the first failure is
+    the one reported.
+
+    Raises TypeError or ValueError.
+    """
 
     __match_args__ = (
         "n_min", "n_max", "entry_min", "entry_max", "trials", "seed", "prime"
@@ -143,13 +120,25 @@ class FuzzConfig(FrozenRecord):
         seed: int = 0,
         prime: int = 2,
     ):
+        # the first six fields, each named in its error; prime is checked below
+        n_min, n_max, entry_min, entry_max, trials, seed = map(
+            _as_int, (n_min, n_max, entry_min, entry_max, trials, seed), self.__match_args__
+        )
+        if trials < 1:
+            raise ValueError("trial count must be >= 1")
+        if entry_min > entry_max:
+            raise ValueError("entry range is empty")
         if not 2 <= n_min <= n_max:
-            dimension_error = "need 2 <= n_min <= n_max"
-        elif n_max > MAX_DIMENSION:
-            dimension_error = f"dimensions above {MAX_DIMENSION} are not supported"
-        else:
-            dimension_error = None
-        check_fuzz_fields(trials, entry_min, entry_max, n_max, prime, dimension_error)
+            raise ValueError("need 2 <= n_min <= n_max")
+        if n_max > MAX_DIMENSION:
+            raise ValueError(f"dimensions above {MAX_DIMENSION} are not supported")
+        prime = check_prime(prime)
+        cells = (2 * max(entry_max, 0) + 1) ** (n_max - 1)
+        if cells > DEFAULT_POINT_LIMIT:
+            raise ValueError(
+                f"entry range too wide: a region box at n = {n_max} can have {cells} "
+                f"cells, more than {DEFAULT_POINT_LIMIT}"
+            )
         fields = self.__dict__
         fields["n_min"] = n_min
         fields["n_max"] = n_max

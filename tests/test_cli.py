@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from splitorders.cli import RunConfig, UsageError, main
+from splitorders.cli import UsageError, build_parser, cmd_fuzz, main
 from splitorders.fuzz import FuzzConfig
 
 NU = {"n": 3, "nu": [[0, 0, 1], [3, 0, 1], [3, 2, 0]]}
@@ -96,7 +96,7 @@ def test_help_exits_zero(capsys):
     ["main", "check", "hull", "vertices", "intersect", "roundtrip", "hijikata", "draw", "fuzz"],
 )
 def test_help_matches_golden(monkeypatch, capsys, command):
-    """Parser dests are named after RunConfig fields; help text must not show it."""
+    """Fuzz parser dests are named after FuzzConfig fields; help text must not show them."""
     monkeypatch.setenv("COLUMNS", "80")
     argv = ["--help"] if command == "main" else [command, "--help"]
     assert main(argv) == 0
@@ -312,17 +312,78 @@ def test_fuzz_replays_golden_output(capsys, argv, golden):
     assert capsys.readouterr().out == expected
 
 
-def test_run_config_validation():
-    with pytest.raises(UsageError):
-        RunConfig(subcommand="fuzz", trials=0)
-    with pytest.raises(UsageError):
-        RunConfig(subcommand="fuzz", entry_min=2, entry_max=1)
-    with pytest.raises(UsageError):
-        RunConfig(subcommand="fuzz", n_max=9)
-    with pytest.raises(UsageError):
-        RunConfig(subcommand="fuzz", prime=1)
-    with pytest.raises(UsageError):
-        RunConfig(subcommand="draw", scale=0.0)
+BOUND = 3317044064679887385961981
+NEED_N = "need 2 <= n_min <= n_max"
+ABOVE_6 = "dimensions above 6 are not supported"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--trials", "0"], "trial count must be >= 1", id="trials-0"),
+        pytest.param(["--trials", "-5"], "trial count must be >= 1", id="trials-negative"),
+        pytest.param(["--min", "3", "--max", "-3"], "entry range is empty", id="empty-range"),
+        pytest.param(["--n", "1"], NEED_N, id="n-1"),
+        pytest.param(["--n", "0"], NEED_N, id="n-0"),
+        pytest.param(["--n", "-3"], NEED_N, id="n-negative"),
+        pytest.param(["--n", "7"], ABOVE_6, id="n-7"),
+        pytest.param(["--prime", "4"], "4 is not prime", id="prime-4"),
+        pytest.param(["--prime", "1"], "prime must be >= 2, got 1", id="prime-1"),
+        pytest.param(
+            ["--prime", str(BOUND)], f"prime must be below {BOUND}, got {BOUND}",
+            id="prime-bound",
+        ),
+        pytest.param(
+            ["--n", "6", "--max", "8"],
+            "entry range too wide: a region box at n = 6 can have 1419857 cells, "
+            "more than 1000000",
+            id="box-guard",
+        ),
+        # several bad flags: the first failing check is the one reported
+        pytest.param(
+            ["--trials", "0", "--min", "3", "--max", "-3", "--n", "9", "--prime", "4"],
+            "trial count must be >= 1",
+            id="first-of-all",
+        ),
+        pytest.param(
+            ["--min", "3", "--max", "-3", "--n", "9", "--prime", "4"],
+            "entry range is empty",
+            id="range-before-dimension",
+        ),
+        pytest.param(["--n", "9", "--prime", "4"], ABOVE_6, id="dimension-before-prime"),
+        pytest.param(["--n", "1", "--prime", "4"], NEED_N, id="low-n-before-prime"),
+        pytest.param(["--max", "50", "--prime", "4"], "4 is not prime", id="prime-before-box"),
+        pytest.param(["--max", "50", "--n", "7"], ABOVE_6, id="dimension-before-box"),
+    ],
+)
+def test_bad_fuzz_flags_exit_two_with_one_error_line(capsys, flags, message):
+    assert main(["fuzz", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_fuzz_usage_error_keeps_the_library_error_as_cause():
+    with pytest.raises(UsageError) as info:
+        cmd_fuzz(build_parser().parse_args(["fuzz", "--prime", "4"]))
+    assert str(info.value) == "4 is not prime"
+    assert type(info.value.__cause__) is ValueError
+    assert str(info.value.__cause__) == "4 is not prime"
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "text", [json.dumps(NU), "[[0, 1], [0, 0]]", "{not json", None],
+    ids=["3x3", "2x2", "malformed", "missing"],
+)
+def test_bad_scale_exits_two_whatever_the_input(tmp_path, capsys, scale, text):
+    """The scale is checked before the input is read: a 2 x 2 input would
+    exit 1 and a malformed or missing one report itself."""
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text)
+    target = tmp_path / "x.svg"
+    assert main(["draw", str(path), "--out", str(target), "--scale", scale]) == 2
+    assert capsys.readouterr() == ("", "error: scale must be a positive finite number\n")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from splitorders.dvr import (
     INFINITE,
     LocalMatrix,
     LocalScalar,
+    check_prime,
     conjugate,
     diagonal_witness,
     elementary_divisors,
@@ -26,6 +27,7 @@ from splitorders.errors import (
     SingularConjugatorError,
     SingularInputError,
 )
+from splitorders.apartments import GeneralSplitOrder
 from splitorders.exponent import ExponentMatrix
 
 
@@ -46,6 +48,79 @@ def test_prime_validation():
         rational_valuation(1, 1)
     with pytest.raises(ValueError):
         LocalMatrix([[1]], 6)
+
+
+def test_check_prime_reads_integral_floats_and_refuses_other_non_integers():
+    assert check_prime(3.0) == 3 and type(check_prime(3.0)) is int
+    assert check_prime(7.0) == 7 and type(check_prime(7.0)) is int
+    for bad, error, message in [
+        (2.5, ValueError, "prime 2.5 is not an integer"),
+        (float("inf"), ValueError, "prime inf is not an integer"),
+        ("3", TypeError, "prime '3' is not an integer"),
+        (True, TypeError, "prime True is not an integer"),
+        (Fraction(3), TypeError, "prime Fraction(3, 1) is not an integer"),
+    ]:
+        with pytest.raises(error) as info:
+            check_prime(bad)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (0.1, ValueError, "entry 0.1 is not an integer"),
+        (2.5, ValueError, "entry 2.5 is not an integer"),
+        (float("nan"), ValueError, "entry nan is not an integer"),
+        (True, TypeError, "entry True is not an integer"),
+        (False, TypeError, "entry False is not an integer"),
+    ],
+)
+def test_local_matrix_refuses_bools_and_non_integral_floats(bad, error, message):
+    for rows in ([[bad, 0], [0, 1]], [["1/2", bad], [0, 1]]):
+        with pytest.raises(error) as info:
+            LocalMatrix(rows, 2)
+        assert str(info.value) == message
+    with pytest.raises(error):
+        LocalMatrix.from_json_dict({"prime": 2, "entries": [[1, 0], [bad, 1]]})
+    with pytest.raises(error):
+        GeneralSplitOrder.from_json_dict(
+            {"gamma": [[1, bad], [0, 1]], "prime": 2, "nu": {"n": 2, "nu": [[0, 0], [0, 0]]}}
+        )
+    with pytest.raises(error) as info:
+        LocalScalar(bad, 2)
+    assert str(info.value) == message.replace("entry", "value")
+    with pytest.raises(error):
+        LocalScalar(1, 2) + bad
+    with pytest.raises(error):
+        LocalMatrix.identity(2, 2).scale(bad)
+    with pytest.raises(error):
+        rational_valuation(bad, 2)
+
+
+def test_local_matrix_reads_integral_floats_fractions_and_rational_strings():
+    A = LocalMatrix([[2.0, "1/3"], [Fraction(3, 4), -1.0]], 2)
+    assert A == LocalMatrix([[2, Fraction(1, 3)], ["3/4", -1]], 2)
+    assert A.entry(0, 0) == 2 and A.entry(1, 1) == -1
+    assert LocalMatrix.from_json_dict(A.to_json_dict()) == A
+    assert LocalMatrix.from_json_dict({"prime": 3.0, "entries": [[1, 0], [0, 1]]}).prime == 3
+    assert LocalScalar(4.0, 2) == LocalScalar(4, 2)
+    assert LocalScalar("1/3", 3).valuation() == -1
+    assert (LocalScalar(1, 2) + 1.0).value == 2
+
+
+@pytest.mark.parametrize(
+    "prime, error",
+    [(2.5, ValueError), ("3", TypeError), (True, TypeError)],
+)
+def test_json_prime_is_not_truncated(prime, error):
+    """A prime of 2.5 used to build a 2-adic matrix."""
+    with pytest.raises(error):
+        LocalMatrix.from_json_dict({"prime": prime, "entries": [[1, 0], [0, 1]]})
+    with pytest.raises(error):
+        GeneralSplitOrder.from_json_dict(
+            {"gamma": [[1, 0], [0, 1]], "prime": prime, "nu": {"n": 2, "nu": [[0, 0], [0, 0]]}}
+        )
 
 
 def test_scalar_arithmetic():

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from splitorders.cli import RunConfig, UsageError
 from splitorders.dvr import hermite_normal_form, rational_valuation
 from splitorders.exponent import ExponentMatrix, has_containing_maximal
 from splitorders.fuzz import (
@@ -38,7 +37,6 @@ def test_config_validation():
 def test_entry_range_stays_within_the_enumeration_guard(n_max, widest):
     """The widest region box, (2 max + 1)^(n - 1) cells, must fit the guard."""
     assert FuzzConfig(n_max=n_max, entry_max=widest).entry_max == widest
-    assert RunConfig("fuzz", n_max=n_max, entry_max=widest).entry_max == widest
     cells = (2 * widest + 3) ** (n_max - 1)
     message = (
         f"entry range too wide: a region box at n = {n_max} can have {cells} cells, "
@@ -46,9 +44,6 @@ def test_entry_range_stays_within_the_enumeration_guard(n_max, widest):
     )
     with pytest.raises(ValueError) as info:
         FuzzConfig(n_max=n_max, entry_max=widest + 1)
-    assert str(info.value) == message
-    with pytest.raises(UsageError) as info:
-        RunConfig("fuzz", n_max=n_max, entry_max=widest + 1)
     assert str(info.value) == message
 
 

@@ -1,7 +1,7 @@
 """Golden behaviour of the package's immutable value classes.
 
 ``LocalScalar``, ``HermiteForm``, ``RoundtripReport``, ``FuzzConfig``,
-``CheckResult``, ``FuzzReport`` and ``RunConfig`` are frozen records: the
+``CheckResult`` and ``FuzzReport`` are frozen records: the
 expected reprs, equalities, hashes, validation messages and copy/pickle
 round trips below were captured from their frozen-dataclass versions,
 and pin that the plain classes behave the same.
@@ -14,11 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from splitorders.cli import RunConfig, UsageError
 from splitorders.correspondence import ApartmentVertex, RoundtripReport, verify_roundtrip
 from splitorders.dvr import HermiteForm, LocalMatrix, LocalScalar, hermite_normal_form
 from splitorders.exponent import ExponentMatrix
-from splitorders.fuzz import CheckResult, FuzzConfig, FuzzReport
+from splitorders.fuzz import CheckResult, FuzzConfig, FuzzReport, run_fuzz
 
 BOUND = 3317044064679887385961981
 
@@ -115,34 +114,6 @@ INSTANCES = {
         "CheckResult(name='b', trials=1, failure={'n': 2})))",
         ("seed", "results"),
     ),
-    "run-config": (
-        lambda: RunConfig("check"),
-        "RunConfig(subcommand='check', input_path=None, out_path=None, prime=2, "
-        "n_max=4, entry_min=-3, entry_max=5, trials=10000, seed=0, scale=40.0)",
-        (
-            "subcommand", "input_path", "out_path", "prime", "n_max",
-            "entry_min", "entry_max", "trials", "seed", "scale",
-        ),
-    ),
-    "run-config-keyword": (
-        lambda: RunConfig("draw", "in.json", "out.svg", scale=25.0),
-        "RunConfig(subcommand='draw', input_path='in.json', out_path='out.svg', "
-        "prime=2, n_max=4, entry_min=-3, entry_max=5, trials=10000, "
-        "seed=0, scale=25.0)",
-        (
-            "subcommand", "input_path", "out_path", "prime", "n_max",
-            "entry_min", "entry_max", "trials", "seed", "scale",
-        ),
-    ),
-    "run-config-positional": (
-        lambda: RunConfig("fuzz", None, None, 3, 5, -1, 2, 50, 7, 40.0),
-        "RunConfig(subcommand='fuzz', input_path=None, out_path=None, prime=3, "
-        "n_max=5, entry_min=-1, entry_max=2, trials=50, seed=7, scale=40.0)",
-        (
-            "subcommand", "input_path", "out_path", "prime", "n_max",
-            "entry_min", "entry_max", "trials", "seed", "scale",
-        ),
-    ),
 }
 
 UNHASHABLE = {"check-result-failure", "fuzz-report"}
@@ -206,19 +177,12 @@ def test_unequal_instances():
     assert CheckResult("a", 1, None) != CheckResult("a", 2, None)
     assert CheckResult("a", 1, {"n": 2}) == CheckResult("a", 1, {"n": 2})
     assert _fuzz_report() != FuzzReport(6, _fuzz_report().results)
-    assert RunConfig("check") != RunConfig("hull")
-    assert RunConfig("check", "a.json") == RunConfig(subcommand="check", input_path="a.json")
-    assert hash(RunConfig("check", "a.json")) == hash(
-        RunConfig(subcommand="check", input_path="a.json")
-    )
 
 
 def test_defaults_and_stored_values():
     assert FuzzConfig(prime=3).prime == 3
     s = LocalScalar(6, 3)
     assert type(s.value) is Fraction and s.value == 6 and s.valuation() == 1
-    cfg = RunConfig("fuzz", trials=5)
-    assert (cfg.trials, cfg.seed, cfg.scale, cfg.n_max) == (5, 0, 40.0, 4)
     assert RoundtripReport(*[getattr(_report(), f) for f in INSTANCES["roundtrip"][2]]) == (
         _report()
     )
@@ -230,8 +194,6 @@ def test_defaults_and_stored_values():
         CheckResult("a", 1)
     with pytest.raises(TypeError):
         FuzzReport(1)
-    with pytest.raises(TypeError):
-        RunConfig()
     with pytest.raises(TypeError):
         FuzzConfig(unknown=1)
 
@@ -317,50 +279,34 @@ def test_fuzz_config_validation(kwargs, message):
 
 
 @pytest.mark.parametrize(
-    "kwargs, message",
+    "kwargs, error, message",
     [
-        ({"trials": 0}, "trial count must be >= 1"),
-        ({"entry_min": 3, "entry_max": -3}, "entry range is empty"),
-        ({"n_max": 1}, "dimension range must satisfy 2 <= n <= 6"),
-        ({"n_max": -3}, "dimension range must satisfy 2 <= n <= 6"),
-        ({"n_max": 7}, "dimension range must satisfy 2 <= n <= 6"),
-        ({"prime": 4}, "4 is not prime"),
-        ({"prime": 1}, "prime must be >= 2, got 1"),
-        ({"prime": BOUND}, f"prime must be below {BOUND}, got {BOUND}"),
-        ({"scale": 0.0}, "scale must be a positive finite number"),
-        ({"scale": -1.0}, "scale must be a positive finite number"),
-        ({"scale": math.nan}, "scale must be a positive finite number"),
-        ({"scale": math.inf}, "scale must be a positive finite number"),
-        # the first failing field is reported
-        (
-            {"trials": 0, "entry_min": 3, "entry_max": -3, "n_max": 9, "prime": 4,
-             "scale": 0.0},
-            "trial count must be >= 1",
-        ),
-        (
-            {"entry_min": 3, "entry_max": -3, "n_max": 9, "prime": 4, "scale": 0.0},
-            "entry range is empty",
-        ),
-        ({"n_max": 9, "prime": 4, "scale": 0.0}, "dimension range must satisfy 2 <= n <= 6"),
-        ({"prime": 4, "scale": 0.0}, "4 is not prime"),
-        (
-            {"n_max": 6, "entry_max": 8, "scale": 0.0},
-            "entry range too wide: a region box at n = 6 can have 1419857 cells, "
-            "more than 1000000",
-        ),
+        ({"prime": 2.5}, ValueError, "prime 2.5 is not an integer"),
+        ({"prime": "3"}, TypeError, "prime '3' is not an integer"),
+        ({"prime": True}, TypeError, "prime True is not an integer"),
+        ({"trials": 2.5}, ValueError, "trials 2.5 is not an integer"),
+        ({"trials": True}, TypeError, "trials True is not an integer"),
+        ({"seed": 1.5}, ValueError, "seed 1.5 is not an integer"),
+        ({"entry_max": 2.5}, ValueError, "entry_max 2.5 is not an integer"),
+        ({"entry_min": "1"}, TypeError, "entry_min '1' is not an integer"),
+        ({"n_max": 3.5}, ValueError, "n_max 3.5 is not an integer"),
+        ({"n_min": False}, TypeError, "n_min False is not an integer"),
+        ({"seed": math.nan}, ValueError, "seed nan is not an integer"),
     ],
 )
-def test_run_config_validation(kwargs, message):
-    with pytest.raises(UsageError) as info:
-        RunConfig("fuzz", **kwargs)
+def test_fuzz_config_refuses_non_integer_fields(kwargs, error, message):
+    """Each of these was stored as given and later crashed, or ran one trial."""
+    with pytest.raises(error) as info:
+        FuzzConfig(**kwargs)
+    assert type(info.value) is error
     assert str(info.value) == message
 
 
-def test_usage_error_keeps_the_prime_error_as_cause():
-    with pytest.raises(UsageError) as info:
-        RunConfig("fuzz", prime=4)
-    assert isinstance(info.value.__cause__, ValueError)
-    assert str(info.value.__cause__) == "4 is not prime"
+def test_fuzz_config_stores_ints():
+    config = FuzzConfig(3.0, 4.0, -1.0, 2.0, 30.0, 7.0, 3.0)
+    assert config == FuzzConfig(3, 4, -1, 2, 30, 7, 3)
+    assert all(type(getattr(config, name)) is int for name in FuzzConfig.__match_args__)
+    assert run_fuzz(config) == run_fuzz(FuzzConfig(3, 4, -1, 2, 30, 7, 3))
 
 
 def test_roundtrip_report_properties_survive_pickle():
