@@ -56,6 +56,9 @@ def _load_json(path: str):
         raise UsageError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise UsageError(f"{path}: not valid JSON (nested too deeply)") from exc
+    except ValueError as exc:
+        # a number past the interpreter's int-digit limit
+        raise UsageError(f"{path}: number too long ({exc})") from exc
 
 
 def _exponent_matrix(data) -> ExponentMatrix:

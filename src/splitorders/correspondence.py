@@ -30,7 +30,7 @@ from .polytope import (
 def maximal_order_exponents(v: ApartmentVertex) -> ExponentMatrix:
     """Exponent matrix of the maximal order at vertex v: entry (i, j) is m_i - m_j."""
     m = v.m
-    return ExponentMatrix([[mi - mj for mj in m] for mi in m])
+    return ExponentMatrix._trusted(tuple([tuple([mi - mj for mj in m]) for mi in m]))
 
 
 def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
@@ -50,9 +50,9 @@ def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
     # column i holds coordinate i of every vertex; on the diagonal ci is cj,
     # every difference is 0, and the scan is skipped
     cols = list(zip(*ms))
-    return ExponentMatrix(
-        [[0 if ci is cj else max(map(sub, ci, cj)) for cj in cols] for ci in cols]
-    )
+    return ExponentMatrix._trusted(tuple([
+        tuple([0 if ci is cj else max(map(sub, ci, cj)) for cj in cols]) for ci in cols
+    ]))
 
 
 def maximal_orders_containing(

@@ -10,7 +10,8 @@ hence an order, exactly when the triangle inequalities
 
 hold.  The minimal closure of ``nu`` under these inequalities is computed
 by all-pairs minimal path sums over the complete digraph whose arc
-(i -> j) carries weight ``nu[i][j]``.
+(i -> j) carries weight ``nu[i][j]``.  Each matrix computes that closure at
+most once and keeps it; everything that needs it reads the kept copy.
 """
 
 from __future__ import annotations
@@ -62,10 +63,12 @@ class ExponentMatrix:
     """Square integer matrix with zero diagonal.
 
     Instances are immutable: entries are stored as a tuple of tuples and
-    no mutating operations are provided.
+    no mutating operations are provided.  ``_closure`` caches the min-plus
+    closure of the entries (see ``_cached_closure``); equality, hashing and
+    repr ignore it.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_closure")
 
     def __init__(self, entries: Sequence[Sequence[int]]):
         rows = tuple(map(int_tuple, entries))
@@ -81,6 +84,17 @@ class ExponentMatrix:
                 )
         self.n = n
         self.entries = rows
+        self._closure = None
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], closure=None) -> "ExponentMatrix":
+        """Matrix on a tuple of n >= 2 tuples of n plain ints with zero
+        diagonal, unchecked; ``closure``, when given, is their cached closure."""
+        m = object.__new__(cls)
+        m.n = len(rows)
+        m.entries = rows
+        m._closure = closure
+        return m
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
@@ -163,13 +177,33 @@ def minplus_closure(entries: Sequence[Sequence[int]]) -> Optional[list[list[int]
     return dist
 
 
+def _cached_closure(owner, rows, closure) -> tuple[tuple[int, ...], ...]:
+    """Min-plus closure of ``rows``, kept in ``owner._closure``.
+
+    ``owner`` is the matrix or polytope whose bounds are ``rows``.  On
+    first use the slot is filled from ``closure(rows)``, where each caller
+    passes its own module's ``minplus_closure`` binding, with a tuple of
+    row tuples, or with the empty tuple on a negative cycle; so the result
+    is false exactly when there is a negative cycle.  A polytope made by
+    ``polytope_of`` holds its matrix in the slot until then, and filling
+    either one fills both.
+    """
+    closed = owner._closure
+    if closed is None:
+        dist = closure(rows)
+        closed = owner._closure = () if dist is None else tuple(map(tuple, dist))
+    elif type(closed) is not tuple:
+        closed = owner._closure = _cached_closure(closed, rows, closure)
+    return closed
+
+
 def has_containing_maximal(nu: ExponentMatrix) -> bool:
     """Whether some maximal order contains ``S(nu)``.
 
     Equivalent to every directed cycle of exponents having nonnegative
     weight, and to the difference region of ``nu`` being nonempty.
     """
-    return minplus_closure(nu.entries) is not None
+    return bool(_cached_closure(nu, nu.entries, minplus_closure))
 
 
 def order_hull(nu: ExponentMatrix) -> ExponentMatrix:
@@ -180,12 +214,13 @@ def order_hull(nu: ExponentMatrix) -> ExponentMatrix:
 
     Raises NegativeCycleError when no containing maximal order exists.
     """
-    closed = minplus_closure(nu.entries)
-    if closed is None:
+    closed = _cached_closure(nu, nu.entries, minplus_closure)
+    if not closed:
         raise NegativeCycleError(
             "exponent matrix has a negative cycle; no order contains it"
         )
-    return ExponentMatrix(closed)
+    # a closure is idempotent: the hull is its own closure
+    return ExponentMatrix._trusted(closed, closed)
 
 
 def hijikata_normal_form(nu: ExponentMatrix) -> int:

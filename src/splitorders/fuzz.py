@@ -213,12 +213,28 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
 def random_exponent_matrix(
     rng: random.Random, n: int, lo: int, hi: int
 ) -> ExponentMatrix:
-    entries = [[0] * n for _ in range(n)]
+    """Exponent matrix whose off-diagonal entries, row by row, are drawn
+    from [lo, hi] with the ``getrandbits`` words ``_randint`` consumes."""
+    if n < 2:
+        raise ValueError(f"exponent matrix needs dimension >= 2, got {n}")
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k = width.bit_length()
+    draw = rng.getrandbits
+    rows = []
     for i in range(n):
+        row = []
         for j in range(n):
+            r = 0
             if i != j:
-                entries[i][j] = _randint(rng, lo, hi)
-    return ExponentMatrix(entries)
+                r = draw(k)
+                while r >= width:
+                    r = draw(k)
+                r += lo
+            row.append(r)
+        rows.append(tuple(row))
+    return ExponentMatrix._trusted(tuple(rows))
 
 
 def random_vertex(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> ApartmentVertex:
@@ -505,7 +521,9 @@ def _hull_properties(nu):
     hull = order_hull(nu)
     ok = (
         is_order(hull)
-        and order_hull(hull) == hull
+        # rebuilt from its entries, so the hull is closed again and not
+        # read back from the closure order_hull keeps on it
+        and order_hull(ExponentMatrix(hull.entries)) == hull
         and all(
             hull.entries[i][j] <= nu.entries[i][j]
             for i in range(n)

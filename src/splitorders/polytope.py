@@ -18,15 +18,19 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import EmptyPolytopeError, EnumerationLimitError
-from .exponent import ExponentMatrix, int_tuple, minplus_closure
+from .exponent import ExponentMatrix, _cached_closure, int_tuple, minplus_closure
 
 DEFAULT_POINT_LIMIT = 10**6
 
 
 class DifferencePolytope:
-    """Region cut out by the two-sided difference bounds of an exponent matrix."""
+    """Region cut out by the two-sided difference bounds of an exponent matrix.
 
-    __slots__ = ("n", "upper")
+    ``_closure`` caches the min-plus closure of the bounds, as on
+    ``ExponentMatrix``; equality, hashing and repr ignore it.
+    """
+
+    __slots__ = ("n", "upper", "_closure")
 
     def __init__(self, upper: Sequence[Sequence[int]]):
         rows = tuple(map(int_tuple, upper))
@@ -37,6 +41,7 @@ class DifferencePolytope:
             raise ValueError("bound matrix must have zero diagonal")
         self.n = n
         self.upper = rows
+        self._closure = None
 
     def difference_range(self, i: int, j: int) -> tuple[int, int]:
         """Declared two-sided bound (lo, hi) with lo <= x_i - x_j <= hi."""
@@ -114,13 +119,21 @@ class ApartmentVertex:
 
 
 def polytope_of(nu: ExponentMatrix) -> DifferencePolytope:
-    """Difference region of an exponent matrix (entries become the upper bounds)."""
-    return DifferencePolytope(nu.entries)
+    """Difference region of an exponent matrix (entries become the upper bounds).
+
+    The region and the matrix share one cached closure: until it is
+    computed, the region's slot holds the matrix.
+    """
+    P = object.__new__(DifferencePolytope)
+    P.n = nu.n
+    P.upper = nu.entries
+    P._closure = nu if nu._closure is None else nu._closure
+    return P
 
 
 def is_empty(P: DifferencePolytope) -> bool:
     """Whether the region has no point; detected by a negative cycle of bounds."""
-    return minplus_closure(P.upper) is None
+    return not _cached_closure(P, P.upper, minplus_closure)
 
 
 def max_difference(P: DifferencePolytope, i: int, j: int) -> int:
@@ -133,8 +146,8 @@ def max_difference(P: DifferencePolytope, i: int, j: int) -> int:
     n = P.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"coordinate pair ({i}, {j}) out of range for n = {n}")
-    closed = minplus_closure(P.upper)
-    if closed is None:
+    closed = _cached_closure(P, P.upper, minplus_closure)
+    if not closed:
         raise EmptyPolytopeError("region is empty; differences have no maximum")
     return closed[i][j]
 
@@ -195,11 +208,5 @@ def is_reduced(nu: ExponentMatrix) -> bool:
     (minimal path sums) must reproduce every entry of ``nu``.  An empty
     region is never reduced.
     """
-    closed = minplus_closure(nu.entries)
-    if closed is None:
-        return False
-    entries = nu.entries
-    for i in range(nu.n):
-        if tuple(closed[i]) != entries[i]:
-            return False
-    return True
+    # the empty tuple that marks a negative cycle equals no matrix
+    return _cached_closure(nu, nu.entries, minplus_closure) == nu.entries

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import UnsupportedDimensionError
-from .exponent import ExponentMatrix, minplus_closure
+from .exponent import ExponentMatrix, _cached_closure, minplus_closure
 from .polytope import enumerate_lattice_points, polytope_of
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -62,7 +62,7 @@ def render_polytope_svg(
     import xml.etree.ElementTree as ET
 
     u = nu.entries
-    closed = minplus_closure(u)
+    closed = _cached_closure(nu, u, minplus_closure)
     points = enumerate_lattice_points(polytope_of(nu))
 
     # window in apartment coordinates, from the box against coordinate 0
@@ -141,7 +141,7 @@ def render_polytope_svg(
             "stroke": color,
             "stroke-width": "1.5",
         }
-        supporting = closed is not None and closed[i][j] == u[i][j]
+        supporting = bool(closed) and closed[i][j] == u[i][j]
         if not supporting:
             attrs["stroke-dasharray"] = "6 4"
         ET.SubElement(wall_group, "line", attrs)

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -422,6 +423,33 @@ def test_non_integer_vertex_coordinates_exit_two(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: not a vertex list (entry ")
+    assert captured.err.count("\n") == 1
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(
+    not 0 < _DIGIT_LIMIT < 5000, reason="needs an int-digit limit under 5000 digits"
+)
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("check", "[[0, {big}], [0, 0]]"),
+        ("hull", '{{"n": 2, "nu": [[0, 0], [-{big}, 0]]}}'),
+        ("roundtrip", "[[0, {big}], [0, 0]]"),
+        ("intersect", "[[0, {big}], [0, 0]]"),
+    ],
+)
+def test_an_entry_past_the_int_digit_limit_exits_two(tmp_path, capsys, command, text):
+    """json.loads refuses an integer of more digits than the interpreter's
+    limit with a plain ValueError, which used to escape as a traceback."""
+    path = tmp_path / "big.json"
+    path.write_text(text.format(big="9" * 5000))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: number too long (")
     assert captured.err.count("\n") == 1
 
 

@@ -374,6 +374,28 @@ def test_exact_stream_draw_is_randint(lo, hi):
         assert ours.getstate() == theirs.getstate()
 
 
+@pytest.mark.parametrize("lo, hi", _RANDINT_RANGES)
+def test_exponent_matrix_draws_are_randint(lo, hi):
+    """random_exponent_matrix draws its words itself; the entries, row by
+    row off the diagonal, and the state left behind are those of randint."""
+    for seed in range(3):
+        for n in (2, 3, 5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            nu = fuzz.random_exponent_matrix(ours, n, lo, hi)
+            expected = [
+                [0 if i == j else theirs.randint(lo, hi) for j in range(n)] for i in range(n)
+            ]
+            assert nu == ExponentMatrix(expected) and repr(nu) == repr(ExponentMatrix(expected))
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_exponent_matrix_draws_refuse_bad_shapes():
+    with pytest.raises(ValueError, match="empty range"):
+        fuzz.random_exponent_matrix(random.Random(0), 3, 1, 0)
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        fuzz.random_exponent_matrix(random.Random(0), 1, 0, 3)
+
+
 def test_exact_stream_draw_refuses_an_empty_range():
     with pytest.raises(ValueError, match="empty range"):
         fuzz._randint(random.Random(0), 1, 0)
