@@ -48,10 +48,50 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+class _NotAnInteger:
+    """A JSON number with no integer value; its repr is the literal."""
+
+    __slots__ = ("literal",)
+
+    def __init__(self, literal: str):
+        self.literal = literal
+
+    def __repr__(self) -> str:
+        return self.literal
+
+
+def _json_number(literal: str):
+    """The value of a JSON number written with a fraction or an exponent.
+
+    The literal is read exactly from its digits and exponent, so an
+    integral value is that int (``2.0`` and ``1e3`` read as 2 and 1000).
+    Any other value is refused by every integer check: it reads as its
+    float when that is not integral either (``1.5``), else as a
+    ``_NotAnInteger`` (``1.0000000000000001``).  An exponent that
+    carries the value past the float range (``1e400``) gives the float
+    infinity, so a short literal never becomes a huge integer.
+    """
+    mantissa, _, exponent = literal.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole.lstrip("-") + fraction).lstrip("0")
+    if not digits:
+        return 0
+    shift = (int(exponent) if exponent else 0) - len(fraction)
+    if shift > 0 and abs(float(literal)) == float("inf"):
+        return float(literal)
+    if shift < 0:
+        if digits[shift:].strip("0"):
+            approx = float(literal)
+            return _NotAnInteger(literal) if approx.is_integer() else approx
+        digits, shift = digits[:shift], 0
+    value = int(digits) * 10**shift
+    return -value if whole.startswith("-") else value
+
+
 def _load_json(path: str):
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_json_number)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
@@ -116,7 +156,12 @@ def cmd_vertices(ns: argparse.Namespace) -> int:
 def cmd_intersect(ns: argparse.Namespace) -> int:
     vertices = _load(ns.input_path, lambda data: list(map(ApartmentVertex, data)), "a vertex list")
     mu = intersect_maximal(vertices)
-    print(json.dumps(mu.to_json_dict()))
+    try:
+        text = json.dumps(mu.to_json_dict())
+    except ValueError as exc:
+        # an entry m_i - m_j past the interpreter's int-digit limit
+        raise UsageError(f"{ns.input_path}: result too long to print ({exc})") from exc
+    print(text)
     return 0
 
 

@@ -115,6 +115,9 @@ def check_prime(p: int) -> int:
 def _int_valuation(x: int, p: int):
     if x == 0:
         return INFINITE
+    if p == 2:
+        # x & -x keeps the lowest set bit, also for negative x
+        return (x & -x).bit_length() - 1
     v = 0
     while x % p == 0:
         x //= p
@@ -252,6 +255,45 @@ def _eliminate(a: list, choose, jordan: bool = False) -> tuple[list[int], int]:
     return minors, sign
 
 
+def _hermite_echelon(a: list, p: int) -> list[int]:
+    """``_eliminate(a, _least_valuation(p, full=False))[0]`` at n <= 3, written out.
+
+    Returns the same minors and leaves in ``a`` the same entries on and
+    above the diagonal; entries below it are left as they are.
+    """
+    v = _int_valuation
+    if len(a) == 1:
+        return [a[0][0]] if a[0][0] else []
+    if len(a) == 2:
+        r0, r1 = a
+        if v(r1[0], p) < v(r0[0], p):
+            r0, r1 = r1, r0
+        if not r0[0]:
+            return []
+        d = r0[0] * r1[1] - r1[0] * r0[1]
+        a[:] = r0, (0, d)
+        return [r0[0], d] if d else [r0[0]]
+    r0, r1, r2 = a
+    v0, v1, v2 = v(r0[0], p), v(r1[0], p), v(r2[0], p)
+    if v1 < v0 and v1 <= v2:
+        r0, r1 = r1, r0
+    elif v2 < v0 and v2 < v1:
+        r0, r2 = r2, r0
+    p0, x1, x2 = r0
+    if not p0:
+        return []
+    # step 1 clears column 0 below the pivot: row <- p0 row - row[0] r0
+    b1, b2 = p0 * r1[1] - r1[0] * x1, p0 * r1[2] - r1[0] * x2
+    c1, c2 = p0 * r2[1] - r2[0] * x1, p0 * r2[2] - r2[0] * x2
+    if v(c1, p) < v(b1, p):
+        b1, b2, c1, c2 = c1, c2, b1, b2
+    if not b1:
+        return [p0]
+    e = (b1 * c2 - c1 * b2) // p0
+    a[:] = r0, (0, b1, b2), (0, 0, e)
+    return [p0, b1, e] if e else [p0, b1]
+
+
 def _mul_rows_general(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
     """Product of two square integer matrices given as rows, for any n."""
     cols = list(zip(*b))
@@ -322,6 +364,30 @@ def _adjugate(a: Sequence[Sequence[int]]) -> tuple[list, int]:
     raise ValueError(f"cofactor formulas cover n <= 3, got n = {n}")
 
 
+def _lowest_terms(rows: Sequence[tuple], den: int, prime: int) -> "LocalMatrix":
+    """The LocalMatrix rows / den, for tuple rows and den >= 1.
+
+    The rows are kept as they are unless gcd(den, *rows) exceeds 1, in
+    which case they are divided as the new rows are built.
+    """
+    if den > 1:
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        if g > 1:
+            den //= g
+            rows = [tuple([x // g for x in row]) for row in rows]
+    return _trusted(rows, den, prime)
+
+
+def _trusted(rows: Sequence[tuple], den: int, prime: int) -> "LocalMatrix":
+    """The LocalMatrix rows / den, for tuple rows already in lowest terms."""
+    obj = object.__new__(LocalMatrix)
+    obj.n = len(rows)
+    obj.prime = prime
+    obj.nums = tuple(rows)
+    obj.den = den
+    return obj
+
+
 class LocalMatrix:
     """Square matrix of exact rationals sharing one prime.
 
@@ -358,20 +424,10 @@ class LocalMatrix:
     def _from_raw(
         cls, nums: Sequence[Sequence[int]], den: int, prime: int
     ) -> "LocalMatrix":
+        """nums / den in lowest terms, from integer rows of any sequence type."""
         if den < 1:
             raise ValueError("denominator must be positive")
-        nums = tuple(map(tuple, nums))
-        if den > 1:
-            g = math.gcd(den, *itertools.chain.from_iterable(nums))
-            if g > 1:
-                den //= g
-                nums = tuple([tuple([x // g for x in row]) for row in nums])
-        obj = object.__new__(cls)
-        obj.n = len(nums)
-        obj.prime = prime
-        obj.nums = nums
-        obj.den = den
-        return obj
+        return _lowest_terms(tuple(map(tuple, nums)), den, prime)
 
     @classmethod
     def identity(cls, n: int, prime: int) -> "LocalMatrix":
@@ -456,7 +512,7 @@ class LocalMatrix:
 
     def __matmul__(self, other: "LocalMatrix") -> "LocalMatrix":
         self._require_compatible(other)
-        return LocalMatrix._from_raw(
+        return _lowest_terms(
             _mul_rows(self.nums, other.nums), self.den * other.den, self.prime
         )
 
@@ -467,25 +523,23 @@ class LocalMatrix:
             tuple(x * db + y * da for x, y in zip(ra, rb))
             for ra, rb in zip(self.nums, other.nums)
         )
-        return LocalMatrix._from_raw(rows, da * db, self.prime)
+        return _lowest_terms(rows, da * db, self.prime)
 
     def __sub__(self, other: "LocalMatrix") -> "LocalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "LocalMatrix":
-        return LocalMatrix._from_raw(
+        return _lowest_terms(
             tuple(tuple(-x for x in row) for row in self.nums), self.den, self.prime
         )
 
     def scale(self, c: _RationalLike) -> "LocalMatrix":
         f = Fraction(_exact(c, "scale"))
         rows = tuple(tuple(x * f.numerator for x in row) for row in self.nums)
-        return LocalMatrix._from_raw(rows, self.den * f.denominator, self.prime)
+        return _lowest_terms(rows, self.den * f.denominator, self.prime)
 
     def transpose(self) -> "LocalMatrix":
-        return LocalMatrix._from_raw(
-            tuple(zip(*self.nums)), self.den, self.prime
-        )
+        return _lowest_terms(tuple(zip(*self.nums)), self.den, self.prime)
 
     def det(self) -> Fraction:
         if self.n <= 3:
@@ -508,9 +562,11 @@ class LocalMatrix:
             adj, d = _adjugate(self.nums)
             if d == 0:
                 raise SingularInputError("matrix is singular")
+            # gcd(d, den * gcd(adj)) divides out while the rows are scaled
+            g = math.gcd(d, self.den * math.gcd(*itertools.chain.from_iterable(adj)))
             scale = self.den if d > 0 else -self.den
-            rows = [[scale * x for x in row] for row in adj]
-            return LocalMatrix._from_raw(rows, abs(d), self.prime)
+            rows = [tuple([scale * x // g for x in row]) for row in adj]
+            return _trusted(rows, abs(d) // g, self.prime)
         a = [
             list(row) + [int(i == j) for j in range(n)]
             for i, row in enumerate(self.nums)
@@ -620,7 +676,7 @@ def _triple_product(l: LocalMatrix, a: LocalMatrix, r: LocalMatrix) -> LocalMatr
     """
     l._require_compatible(a)
     l._require_compatible(r)
-    return LocalMatrix._from_raw(
+    return _lowest_terms(
         _mul_rows(_mul_rows(l.nums, a.nums), r.nums), l.den * a.den * r.den, l.prime
     )
 
@@ -660,8 +716,12 @@ def hermite_normal_form(xi: LocalMatrix) -> tuple[HermiteForm, LocalMatrix]:
     if not xi.is_integral():
         raise NonIntegralInputError("triangular form needs integral entries")
     n = xi.n
-    a = [list(row) for row in xi.nums]
-    minors = _eliminate(a, _least_valuation(p, full=False))[0]
+    if n <= 3:
+        a = list(xi.nums)
+        minors = _hermite_echelon(a, p)
+    else:
+        a = [list(row) for row in xi.nums]
+        minors = _eliminate(a, _least_valuation(p, full=False))[0]
     if len(minors) < n:
         raise SingularInputError("matrix is singular")
     # Row i of the echelon form over O is a[i] / (minor_i den) with diagonal
@@ -725,26 +785,55 @@ def diagonal_witness(form: HermiteForm) -> LocalMatrix:
 def elementary_divisors(L: LocalMatrix, Lp: LocalMatrix) -> tuple[int, ...]:
     """Exponents of the elementary divisors of the lattice of Lp inside that of L.
 
-    Columns of each matrix are lattice basis vectors.  The change of basis
-    L^(-1) Lp is reduced to a diagonal of prime powers by row and column
-    operations over the valuation ring, pivoting on the entry of least
-    valuation (ties broken by lowest row, then column, index); exponents
-    are returned in nondecreasing order and may be negative when the
-    second lattice is not contained in the first.
+    Columns of each matrix are lattice basis vectors.  With M = L^(-1) Lp
+    = N / den, the k smallest exponents sum to the least valuation of the
+    k x k minors of N, less k v(den).  For n <= 3 that valuation is read
+    off the gcd of the minors: of the entries, of the adjugate's entries
+    (the (n - 1)-minors) and det.  Larger n reduce N to a diagonal by
+    fraction-free row and column operations, pivoting on the entry of
+    least valuation (ties broken by lowest row, then column, index).
+    Exponents are returned in nondecreasing order and may be negative
+    when the second lattice is not contained in the first.
 
     Raises SingularInputError when either basis is singular.
     """
     L._require_compatible(Lp)
     p = L.prime
     M = L.inverse() @ Lp
-    a = [list(row) for row in M.nums]
-    minors = _eliminate(a, _least_valuation(p, full=True))[0]
-    if len(minors) < M.n:
+    n = M.n
+    if n <= 3:
+        adj, d = _adjugate(M.nums)
+        chain = itertools.chain.from_iterable
+        # gcds of the k x k minors of N for k = 1..n, or none when singular
+        gcds = (math.gcd(*chain(M.nums)), math.gcd(*chain(adj)), d)
+        minors = gcds[3 - n :] if d else ()
+    else:
+        a = [list(row) for row in M.nums]
+        # the t-th pivot of plain elimination on M is minor_(t+1) / (minor_t den)
+        minors = _eliminate(a, _least_valuation(p, full=True))[0]
+    if len(minors) < n:
         raise SingularInputError("lattice basis is singular")
-    # the t-th pivot of plain elimination on M is minor_(t+1) / (minor_t den)
     vden = _int_valuation(M.den, p)
     vals = [0] + [_int_valuation(m, p) for m in minors]
-    return tuple(sorted(vals[t + 1] - vals[t] - vden for t in range(M.n)))
+    return tuple(sorted(vals[t + 1] - vals[t] - vden for t in range(n)))
+
+
+# largest word size k whose 2^k words get a lookup table in _sharp_sampler
+_TABLE_BITS = 11
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_table(p: int) -> tuple[int, ...]:
+    """Entry r is r + 1 for a word r that _sharp_sampler accepts, else 0.
+
+    Only primes with p^4 < 2^_TABLE_BITS (2, 3 and 5) are asked for, so
+    the cache holds at most three tables.
+    """
+    bound = p**4
+    return tuple(
+        0 if r >= bound or (r + 1) % p == 0 else r + 1
+        for r in range(1 << bound.bit_length())
+    )
 
 
 def _sharp_sampler(nu: ExponentMatrix, p: int):
@@ -759,11 +848,31 @@ def _sharp_sampler(nu: ExponentMatrix, p: int):
     (the stream of ``randint(1, p^4)``) consumes, redrawn on multiples of
     p, whenever ``randrange`` goes through ``getrandbits``: for
     ``random.Random`` and any subclass that keeps its ``getrandbits``.
+    When k is at most _TABLE_BITS (p <= 5), each word is looked up in
+    ``_unit_table(p)`` instead of being tested.
     """
     bound = p**4
     k = bound.bit_length()
     shift = max(0, -min(x for row in nu.entries for x in row))
     scales = [[p ** (e + shift) for e in row] for row in nu.entries]
+
+    if k <= _TABLE_BITS:
+        units = _unit_table(p)
+
+        def draw(rng: random.Random) -> list[list[int]]:
+            getrandbits = rng.getrandbits
+            rows = []
+            for row in scales:
+                out = []
+                for s in row:
+                    u = units[getrandbits(k)]
+                    while not u:
+                        u = units[getrandbits(k)]
+                    out.append(u * s)
+                rows.append(out)
+            return rows
+
+        return draw, p**shift
 
     def draw(rng: random.Random) -> list[list[int]]:
         getrandbits = rng.getrandbits
@@ -827,6 +936,6 @@ def ring_closure_check(
     for _ in range(trials):
         a = draw(rng)
         b = draw(rng)
-        if not in_split_order(LocalMatrix._from_raw(_mul_rows(a, b), den2, p), nu):
+        if not in_split_order(_lowest_terms(_mul_rows(a, b), den2, p), nu):
             return (LocalMatrix._from_raw(a, den, p), LocalMatrix._from_raw(b, den, p))
     return True

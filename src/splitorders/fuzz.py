@@ -68,6 +68,7 @@ from .errors import (
     AlreadyDiagonalError,
     NonZeroDiagonalError,
     NotAnOrderError,
+    SplitOrderError,
 )
 from .exponent import (
     ExponentMatrix,
@@ -459,6 +460,9 @@ def run_check(
 
     Returns the number of trials run, the failing one included, and the
     failure dict (check name, note, then the data of the failure) or None.
+    A trial that raises a SplitOrderError fails with the note
+    ``raised <ExceptionName>: <message>`` and its index in the schedule,
+    counted from 0, under ``trial``.
     """
     cap = check.cap(config) if callable(check.cap) else check.cap
     if check.per_n:
@@ -472,10 +476,13 @@ def run_check(
     used = 0
     for arg in schedule:
         used += 1
-        if check.predicate is None:
-            found = check.trial(rng, config, arg)
-        else:
-            found = _shrinking_trial(check.predicate, rng, config, arg)
+        try:
+            if check.predicate is None:
+                found = check.trial(rng, config, arg)
+            else:
+                found = _shrinking_trial(check.predicate, rng, config, arg)
+        except SplitOrderError as exc:
+            found = f"raised {type(exc).__name__}: {exc}", {"trial": used - 1}
         if found is not None:
             note, data = found
             return used, {"check": check.name, "note": note, **data}

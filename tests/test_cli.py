@@ -495,3 +495,51 @@ def test_unreadable_input_is_one_error_line(tmp_path, capsys, data, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(
+    not 0 < _DIGIT_LIMIT <= 4300, reason="needs an int-digit limit of at most 4300 digits"
+)
+def test_intersect_past_the_int_digit_limit_exits_two(tmp_path, capsys):
+    """Each coordinate fits the limit, but m_i - m_j has 4301 digits."""
+    path = tmp_path / "verts.json"
+    nines = "9" * 4300
+    path.write_text(f"[[{nines}, -{nines}]]")
+    assert main(["intersect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: result too long to print (")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ('{"nu": [[0, 9007199254740993.0], [0, 0]]}', "[[0, 9007199254740993], [0, 0]]"),
+        ("[[0, 1e3], [-2.50e1, 0]]", "[[0, 1000], [-25, 0]]"),
+        ("[[0, 120E-1], [-0.0, 0]]", "[[0, 12], [0, 0]]"),
+    ],
+)
+def test_float_literals_are_read_exactly(tmp_path, capsys, text, printed):
+    path = tmp_path / "nu.json"
+    path.write_text(text)
+    assert main(["hull", str(path)]) == 0
+    assert capsys.readouterr() == (f'{{"n": 2, "nu": {printed}}}\n', "")
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1.0000000000000001", "-1.00000000000000001e0", "1e-400", "9007199254740993.5"],
+)
+def test_non_integral_literals_exit_two_even_when_a_float_rounds_them(
+    tmp_path, capsys, literal
+):
+    """The float of each literal is an integer; the literal is not."""
+    path = tmp_path / "nu.json"
+    path.write_text(f"[[0, {literal}], [0, 0]]")
+    for command in ("check", "hull", "intersect"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"(entry {literal} is not an integer)\n")
+        assert captured.err.count("\n") == 1

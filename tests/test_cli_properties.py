@@ -122,3 +122,19 @@ def test_fuzz_on_arbitrary_flags(trials, seed, n, entry_min, entry_max, prime):
             "--min", str(entry_min), "--max", str(entry_max), "--prime", str(prime)]
     code, out, err = _run(argv)
     _check_contract(code, out, err)
+
+
+@SETTINGS
+@given(
+    value=st.integers(-(10**400), 10**400),
+    form=st.sampled_from(["{}.0", "{}e0", "{}.000E+0"]),
+)
+def test_integers_written_as_floats_round_trip_exactly(value, form):
+    """A vertex [x, 0] gives exponents [[0, x], [-x, 0]], so x reappears."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "verts.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"[[{form.format(value)}, 0]]")
+        code, out, err = _run(["intersect", path])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 2, "nu": [[0, value], [-value, 0]]}

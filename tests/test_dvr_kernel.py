@@ -243,3 +243,159 @@ def test_ring_closure_witnesses_are_pinned():
             A, B = ring_closure_check(ExponentMatrix(entries), trials=5, seed=seed, prime=p)
             assert A == LocalMatrix.matrix_unit(n, i, k, p, exponent=entries[i][k])
             assert B == LocalMatrix.matrix_unit(n, k, j, p, exponent=entries[k][j])
+
+
+# ---------------------------------------------------------------------------
+# the n <= 3 paths against the general elimination, called directly
+
+KERNEL_PRIMES = (2, 3, 5, 7)
+
+
+def _kernel_rows(rng, n, p, integral=False, singular=False):
+    """Like _random_rows, with q = 11 instead of 7 as the other prime at p = 7."""
+    q = 11 if p == 7 else 7
+    dens = (1, q) if integral else (1, p, p * p, q)
+    rows = [
+        [Fraction(rng.randint(-(p**3), p**3), rng.choice(dens)) for _ in range(n)]
+        for _ in range(n)
+    ]
+    if singular:
+        c = Fraction(rng.randint(-3, 3), rng.choice((1, q)))
+        rows[-1] = [c * x for x in rows[0]] if n > 1 else [Fraction(0)]
+    return rows
+
+
+def _kernel_cases(seed, count, integral=False):
+    """(p, rows) at n = 1..3 over every kernel prime; every fifth singular."""
+    rng = random.Random(seed)
+    for t in range(count):
+        p = KERNEL_PRIMES[t % 4]
+        n = 1 + (t // 4) % 3
+        yield p, _kernel_rows(rng, n, p, integral=integral, singular=(t % 5 == 4))
+
+
+def _loop_valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _divisors_by_elimination(L, Lp):
+    """Exponents from full least-valuation pivoting, as n >= 4 computes them."""
+    M = L.inverse() @ Lp
+    p = M.prime
+    a = [list(r) for r in M.nums]
+    minors = dvr._eliminate(a, dvr._least_valuation(p, full=True))[0]
+    if len(minors) < M.n:
+        return None
+    vden = dvr._int_valuation(M.den, p)
+    vals = [0] + [dvr._int_valuation(m, p) for m in minors]
+    return tuple(sorted(vals[t + 1] - vals[t] - vden for t in range(M.n)))
+
+
+def test_closed_form_divisors_match_elimination():
+    rng = random.Random(43)
+    kinds = set()
+    for p, rows in _kernel_cases(47, 480):
+        L = LocalMatrix(_kernel_rows(rng, len(rows), p), p)
+        if L.det() == 0:
+            continue
+        Lp = LocalMatrix(rows, p)
+        expected = _divisors_by_elimination(L, Lp)
+        if expected is None:
+            kinds.add("singular")
+            with pytest.raises(SingularInputError):
+                elementary_divisors(L, Lp)
+            continue
+        assert elementary_divisors(L, Lp) == expected
+        kinds.add(("negative" if expected[0] < 0 else "integral", len(rows), p))
+    assert "singular" in kinds
+    assert {(k, n, p) for k in ("negative", "integral") for n in (1, 2, 3)
+            for p in KERNEL_PRIMES} <= kinds
+
+
+def test_written_out_echelon_matches_elimination():
+    """Same minors, and the same entries on and above the diagonal."""
+    singular = 0
+    for p, rows in _kernel_cases(53, 480, integral=True):
+        nums = LocalMatrix(rows, p).nums
+        ours = list(nums)
+        minors = dvr._hermite_echelon(ours, p)
+        theirs = [list(r) for r in nums]
+        assert minors == dvr._eliminate(theirs, dvr._least_valuation(p, full=False))[0]
+        singular += len(minors) < len(nums)
+        for i in range(len(minors)):
+            assert list(ours[i][i:]) == theirs[i][i:]
+    assert singular >= 60
+
+
+def test_written_out_hermite_form_matches_elimination(monkeypatch):
+    cases = list(_kernel_cases(59, 360, integral=True))
+
+    def run():
+        out = []
+        for p, rows in cases:
+            try:
+                form, transform = hermite_normal_form(LocalMatrix(rows, p))
+            except SingularInputError:
+                out.append("singular")
+            else:
+                out.append((form, transform))
+        return out
+
+    ours = run()
+    monkeypatch.setattr(
+        dvr,
+        "_hermite_echelon",
+        lambda a, p: dvr._eliminate(a, dvr._least_valuation(p, full=False))[0],
+    )
+    assert run() == ours
+    assert 60 <= ours.count("singular") < len(ours) - 200
+    for p in KERNEL_PRIMES:
+        with pytest.raises(NonIntegralInputError):
+            hermite_normal_form(LocalMatrix([[1, 0], [Fraction(1, p), 1]], p))
+
+
+def test_binary_valuation_matches_the_division_loop():
+    rng = random.Random(61)
+    values = [1, -1, 2, -2, 3, 2**63, -(2**63), 2**64, 2**64 + 1, 3 * 2**200, -5 * 2**131]
+    for _ in range(400):
+        odd = rng.getrandbits(rng.randint(1, 300)) | 1
+        values.append(rng.choice((-1, 1)) * odd << rng.randint(0, 90))
+    for x in values:
+        if x:
+            assert dvr._int_valuation(x, 2) == _loop_valuation(x, 2)
+    assert dvr._int_valuation(0, 2) == dvr.INFINITE
+
+
+def _rejection_draw(rng, entries, p):
+    """The sharp sampler before its table: test each word, redraw rejected ones."""
+    bound = p**4
+    k = bound.bit_length()
+    shift = max(0, -min(min(row) for row in entries))
+    rows = []
+    for row in entries:
+        out = []
+        for e in row:
+            r = rng.getrandbits(k)
+            while r >= bound or (r + 1) % p == 0:
+                r = rng.getrandbits(k)
+            out.append((r + 1) * p ** (e + shift))
+        rows.append(out)
+    return rows
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_table_sampler_leaves_the_rejection_loop_state(p):
+    if (p**4).bit_length() <= dvr._TABLE_BITS:
+        table = dvr._unit_table(p)
+        assert table == tuple(r + 1 if r < p**4 and r % p != p - 1 else 0
+                              for r in range(len(table)))
+    for k, entries in enumerate(_GOLDEN_NUS):
+        draw, _ = dvr._sharp_sampler(ExponentMatrix(entries), p)
+        ours, theirs = random.Random(100 * p + k), random.Random(100 * p + k)
+        for _ in range(30):
+            assert draw(ours) == _rejection_draw(theirs, entries, p)
+        assert ours.getstate() == theirs.getstate()

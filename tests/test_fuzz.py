@@ -1,8 +1,12 @@
+import json
 import random
 
 import pytest
 
+from splitorders import fuzz
+from splitorders.cli import main
 from splitorders.dvr import hermite_normal_form, rational_valuation
+from splitorders.errors import NotAnOrderError
 from splitorders.exponent import ExponentMatrix, has_containing_maximal
 from splitorders.fuzz import (
     CHECKS,
@@ -127,3 +131,31 @@ def test_minimizer_keeps_the_input_when_nothing_shrinks():
     start = ExponentMatrix([[0, -1], [0, 0]])
     failing = lambda m: not has_containing_maximal(m)
     assert minimize_failing_matrix(start, failing) == start
+
+
+def test_a_check_that_raises_reports_fail_and_the_run_goes_on(monkeypatch, capsys):
+    """A SplitOrderError inside a trial is that check's failure, not an abort."""
+
+    def body(rng, config, t):
+        if t == 2:
+            raise NotAnOrderError("exponent matrix must be reduced")
+        return None
+
+    monkeypatch.setattr(dict(fuzz.CHECKS)["membership-transport"], "trial", body)
+    assert main(["fuzz", "--trials", "20", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "seed: 3"
+    summary = lines[1:18]
+    assert [line.split()[1] for line in summary] == [name for name, _ in CHECKS]
+    failed = [line for line in summary if line.startswith("FAIL")]
+    assert failed == ["FAIL membership-transport (3 trials)"]
+    assert lines[18] == "counterexamples:"
+    assert json.loads("\n".join(lines[19:])) == [
+        {
+            "check": "membership-transport",
+            "note": "raised NotAnOrderError: exponent matrix must be reduced",
+            "trial": 2,
+        }
+    ]
