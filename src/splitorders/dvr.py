@@ -375,11 +375,6 @@ def _lowest_terms(rows: Sequence[tuple], den: int, prime: int) -> "LocalMatrix":
         if g > 1:
             den //= g
             rows = [tuple([x // g for x in row]) for row in rows]
-    return _trusted(rows, den, prime)
-
-
-def _trusted(rows: Sequence[tuple], den: int, prime: int) -> "LocalMatrix":
-    """The LocalMatrix rows / den, for tuple rows already in lowest terms."""
     obj = object.__new__(LocalMatrix)
     obj.n = len(rows)
     obj.prime = prime
@@ -566,7 +561,7 @@ class LocalMatrix:
             g = math.gcd(d, self.den * math.gcd(*itertools.chain.from_iterable(adj)))
             scale = self.den if d > 0 else -self.den
             rows = [tuple([scale * x // g for x in row]) for row in adj]
-            return _trusted(rows, abs(d) // g, self.prime)
+            return _lowest_terms(rows, abs(d) // g, self.prime)
         a = [
             list(row) + [int(i == j) for j in range(n)]
             for i, row in enumerate(self.nums)
