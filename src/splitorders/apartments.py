@@ -15,10 +15,11 @@ from typing import Iterable, Sequence
 from .correspondence import ApartmentVertex, intersect_maximal
 from .dvr import (
     LocalMatrix,
+    _mul_rows,
     _triple_product,
+    _valuation_test,
     conjugate,
     elementary_divisors,
-    in_split_order,
 )
 from .errors import (
     DimensionMismatchError,
@@ -136,12 +137,20 @@ def incident(u: ApartmentVertex, v: ApartmentVertex) -> bool:
 
 
 def general_membership(S: GeneralSplitOrder, A: LocalMatrix) -> bool:
-    """Whether A lies in gamma S(nu) gamma^(-1), by pulling A back to the standard frame."""
+    """Whether A lies in gamma S(nu) gamma^(-1), by pulling A back to the standard frame.
+
+    The pull-back gamma^(-1) A gamma is tested as the integer triple
+    product over the product of the three denominators, without reducing
+    it to lowest terms first.
+    """
     if A.n != S.n:
         raise DimensionMismatchError(f"matrix has n = {A.n} but order has n = {S.n}")
     if A.prime != S.prime:
         raise ValueError(f"prime mismatch: {A.prime} vs {S.prime}")
-    return in_split_order(S.apartment.to_standard(A), S.nu)
+    ap = S.apartment
+    left, right = ap._gamma_inv, ap.gamma
+    rows = _mul_rows(_mul_rows(left.nums, A.nums), right.nums)
+    return _valuation_test(S.nu.entries, left.den * A.den * right.den, A.prime)(rows)
 
 
 def intersect_in_apartment(

@@ -368,15 +368,28 @@ def _lowest_terms(rows: Sequence[tuple], den: int, prime: int) -> "LocalMatrix":
     """The LocalMatrix rows / den, for tuple rows and den >= 1.
 
     The rows are kept as they are unless gcd(den, *rows) exceeds 1, in
-    which case they are divided as the new rows are built.
+    which case they are divided as the new rows are built, entry by entry
+    at n = 2 and 3.
     """
+    n = len(rows)
     if den > 1:
         g = math.gcd(den, *itertools.chain.from_iterable(rows))
         if g > 1:
             den //= g
-            rows = [tuple([x // g for x in row]) for row in rows]
+            if n == 3:
+                (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+                rows = (
+                    (a00 // g, a01 // g, a02 // g),
+                    (a10 // g, a11 // g, a12 // g),
+                    (a20 // g, a21 // g, a22 // g),
+                )
+            elif n == 2:
+                (a00, a01), (a10, a11) = rows
+                rows = ((a00 // g, a01 // g), (a10 // g, a11 // g))
+            else:
+                rows = [tuple([x // g for x in row]) for row in rows]
     obj = object.__new__(LocalMatrix)
-    obj.n = len(rows)
+    obj.n = n
     obj.prime = prime
     obj.nums = tuple(rows)
     obj.den = den
@@ -608,24 +621,38 @@ class LocalMatrix:
         return cls(data["entries"], data["prime"])
 
 
+def _valuation_test(bounds: Sequence[Sequence[int]], den: int, p: int):
+    """Predicate on integer rows N: whether every entry of N / den has
+    valuation at least ``bounds[i][j]``.
+
+    den >= 1 need not be in lowest terms with N, since a valuation does
+    not depend on how a fraction is written.  Entry (i, j) passes when
+    p^k divides its numerator, k = bounds[i][j] + v(den); the moduli are
+    computed here once, so the predicate can test many rows over the same
+    denominator.  At p = 2 each test masks the low k bits.
+    """
+    vden = _int_valuation(den, p)
+    ks = [b + vden for row in bounds for b in row]
+    if p == 2:
+        test = operator.and_
+        moduli = [(1 << k) - 1 if k > 0 else 0 for k in ks]
+    else:
+        test = operator.mod
+        moduli = [p**k if k > 0 else 1 for k in ks]
+
+    def within(rows: Sequence[Sequence[int]]) -> bool:
+        return not any(map(test, itertools.chain.from_iterable(rows), moduli))
+
+    return within
+
+
 def in_split_order(A: LocalMatrix, nu: ExponentMatrix) -> bool:
     """Whether every entry of A has valuation at least the matching exponent."""
     if A.n != nu.n:
         raise DimensionMismatchError(
             f"matrix has n = {A.n} but exponents have n = {nu.n}"
         )
-    p = A.prime
-    vden = _int_valuation(A.den, p)
-    nums = A.nums
-    bounds = nu.entries
-    for i in range(A.n):
-        arow = nums[i]
-        brow = bounds[i]
-        for j in range(A.n):
-            k = brow[j] + vden
-            if k > 0 and arow[j] % p**k:
-                return False
-    return True
+    return _valuation_test(nu.entries, A.den, A.prime)(A.nums)
 
 
 def lambda_membership(A: LocalMatrix, v: ApartmentVertex) -> bool:
@@ -636,18 +663,9 @@ def lambda_membership(A: LocalMatrix, v: ApartmentVertex) -> bool:
     """
     if A.n != v.n:
         raise DimensionMismatchError(f"matrix has n = {A.n} but vertex has n = {v.n}")
-    p = A.prime
-    vden = _int_valuation(A.den, p)
-    nums = A.nums
     m = v.m
-    for i in range(A.n):
-        arow = nums[i]
-        mi = m[i]
-        for j in range(A.n):
-            k = mi - m[j] + vden
-            if k > 0 and arow[j] % p**k:
-                return False
-    return True
+    bounds = [[mi - mj for mj in m] for mi in m]
+    return _valuation_test(bounds, A.den, A.prime)(A.nums)
 
 
 def conjugate(xi: LocalMatrix, A: LocalMatrix) -> LocalMatrix:
@@ -917,7 +935,15 @@ def ring_closure_check(
     p^{nu[k][j]} E(k, j).  Pairs are drawn as by
     ``sample_split_order_element`` from ``random.Random(seed)``, through
     its ``getrandbits``, so a seed replays the stream of ``randrange``.
+
+    ``trials`` and ``seed`` are ints (an integral float reads as one; a
+    bool or another non-integer raises TypeError), and ``trials`` must be
+    at least 1 (ValueError), as in ``fuzz.FuzzConfig``.
     """
+    trials = _as_int(trials, "trials")
+    if trials < 1:
+        raise ValueError("trial count must be >= 1")
+    seed = _as_int(seed, "seed")
     p = check_prime(prime)
     violation = first_violation(nu)
     if violation is not None:
@@ -927,10 +953,11 @@ def ring_closure_check(
         return (A, B)
     rng = random.Random(seed)
     draw, den = _sharp_sampler(nu, p)
-    den2 = den * den
+    # every product is an integer matrix over den^2, tested as it stands
+    within = _valuation_test(nu.entries, den * den, p)
     for _ in range(trials):
         a = draw(rng)
         b = draw(rng)
-        if not in_split_order(_lowest_terms(_mul_rows(a, b), den2, p), nu):
+        if not within(_mul_rows(a, b)):
             return (LocalMatrix._from_raw(a, den, p), LocalMatrix._from_raw(b, den, p))
     return True

@@ -238,31 +238,75 @@ def random_exponent_matrix(
     return ExponentMatrix._trusted(tuple(rows))
 
 
+def _width_bits(lo: int, hi: int) -> tuple[int, int]:
+    """(width, k) of [lo, hi]: ``_randint`` draws k-bit words below width."""
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    return width, width.bit_length()
+
+
 def random_vertex(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> ApartmentVertex:
-    return ApartmentVertex([_randint(rng, lo, hi) for _ in range(n)])
+    """Vertex whose n coordinates are drawn from [lo, hi] with the
+    ``getrandbits`` words ``_randint`` consumes."""
+    width, k = _width_bits(lo, hi)
+    draw = rng.getrandbits
+    m = []
+    for _ in range(n):
+        r = draw(k)
+        while r >= width:
+            r = draw(k)
+        m.append(lo + r)
+    return ApartmentVertex(m)
 
 
 def random_integral_matrix(
     rng: random.Random, n: int, prime: int, bound: Optional[int] = None
 ) -> LocalMatrix:
+    """Integer matrix whose entries, row by row, are drawn from
+    [-bound, bound] (bound = p^3 by default) with the ``getrandbits``
+    words ``_randint`` consumes."""
     if bound is None:
         bound = prime**3
-    rows = [[_randint(rng, -bound, bound) for _ in range(n)] for _ in range(n)]
+    width, k = _width_bits(-bound, bound)
+    draw = rng.getrandbits
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            r = draw(k)
+            while r >= width:
+                r = draw(k)
+            row.append(r - bound)
+        rows.append(row)
     return LocalMatrix(rows, prime)
 
 
 def random_local_matrix(
     rng: random.Random, n: int, prime: int, val_lo: int = -2, val_hi: int = 2
 ) -> LocalMatrix:
-    """Matrix with entries num * p^e for random num and e in [val_lo, val_hi]."""
+    """Matrix with entries num * p^e for random num and e in [val_lo, val_hi].
+
+    Entry by entry, row by row, num is drawn from [-p^3, p^3] and then e,
+    with the ``getrandbits`` words ``_randint`` consumes.
+    """
+    bound = prime**3
+    num_width, num_k = _width_bits(-bound, bound)
+    e_width, e_k = _width_bits(val_lo, val_hi)
     shift = max(0, -val_lo)
+    base = val_lo + shift  # the exponent of the word e = 0, shifted
+    draw = rng.getrandbits
     rows = []
     for _ in range(n):
         row = []
         for _ in range(n):
-            num = _randint(rng, -(prime**3), prime**3)
-            e = _randint(rng, val_lo, val_hi)
-            row.append(num * prime ** (e + shift))
+            num = draw(num_k)
+            while num >= num_width:
+                num = draw(num_k)
+            e = draw(e_k)
+            while e >= e_width:
+                e = draw(e_k)
+            row.append((num - bound) * prime ** (base + e))
         rows.append(row)
     return LocalMatrix._from_raw(rows, prime**shift, prime)
 

@@ -133,6 +133,16 @@ def padic_valuation(x, p):
     return v
 
 
+def frac_within(rows, bounds, p):
+    """Whether every nonzero entry of the Fraction rows has valuation at
+    least bounds[i][j]; zero entries pass whatever the bound."""
+    return all(
+        x == 0 or padic_valuation(x, p) >= b
+        for row, brow in zip(rows, bounds)
+        for x, b in zip(row, brow)
+    )
+
+
 def divisors_by_minors(rows, p):
     """Elementary divisor exponents from the determinantal divisors.
 

@@ -305,6 +305,7 @@ def test_fuzz_is_deterministic(capsys):
             ["--seed", "7", "--prime", "3", "--n", "5", "--trials", "300"],
             "fuzz_seed7_prime3_n5_trials300.txt",
         ),
+        (["--seed", "3", "--prime", "7", "--trials", "300"], "fuzz_seed3_prime7_trials300.txt"),
     ],
 )
 def test_fuzz_replays_golden_output(capsys, argv, golden):

@@ -206,7 +206,7 @@ def test_sharp_sampler_stream_is_pinned():
 
 def test_ring_closure_draw_order_is_pinned(monkeypatch):
     """With membership forced to fail, the witness is the first sampled pair."""
-    monkeypatch.setattr(dvr, "in_split_order", lambda A, nu: False)
+    monkeypatch.setattr(dvr, "_valuation_test", lambda bounds, den, p: lambda rows: False)
     expected = {
         (2, 0, 4): (
             [["13", "5/2"], ["12", "3"]],

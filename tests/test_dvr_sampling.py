@@ -118,9 +118,10 @@ def test_ring_closure_sampled_witness_matches_fraction_reference(monkeypatch):
     def escapes(rows):
         return rows[0][0].numerator % (p * p) == 1
 
-    monkeypatch.setattr(
-        dvr, "in_split_order", lambda A, nu: not escapes(A.fractions())
-    )
+    def stricter_test(bounds, den, prime):
+        return lambda rows: not escapes([[Fraction(x, den) for x in row] for row in rows])
+
+    monkeypatch.setattr(dvr, "_valuation_test", stricter_test)
     entries = [[0, -1, 0], [1, 0, 1], [0, -1, 0]]  # an order with denominator p
     outcomes = set()
     for p in (2, 3, 5):

@@ -389,6 +389,65 @@ def test_exponent_matrix_draws_are_randint(lo, hi):
             assert ours.getstate() == theirs.getstate()
 
 
+@pytest.mark.parametrize("lo, hi", _RANDINT_RANGES)
+def test_vertex_draws_are_randint(lo, hi):
+    """random_vertex draws its words itself; its coordinates, in order,
+    and the state left behind are those of randint."""
+    for seed in range(3):
+        for n in (2, 3, 5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            v = fuzz.random_vertex(ours, n, lo, hi)
+            assert v == ApartmentVertex([theirs.randint(lo, hi) for _ in range(n)])
+            assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("bound", [None, 0, 1, 4, 7, 8, 2**40])
+def test_integral_matrix_draws_are_randint(bound):
+    """random_integral_matrix draws its words itself; its entries, row by
+    row from [-bound, bound] (p^3 by default), and the state left behind
+    are those of randint."""
+    for seed in range(3):
+        for n in (1, 2, 4):
+            for p in (2, 3, 7):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                M = fuzz.random_integral_matrix(ours, n, p, bound)
+                b = p**3 if bound is None else bound
+                rows = [[theirs.randint(-b, b) for _ in range(n)] for _ in range(n)]
+                assert M == LocalMatrix(rows, p)
+                assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("val_lo, val_hi", [(-2, 2), (-1, 3), (0, 0), (2, 5), (-4, -1)])
+def test_local_matrix_draws_are_randint(val_lo, val_hi):
+    """random_local_matrix draws its words itself; entry by entry it takes
+    num from randint(-p^3, p^3), then e from randint(val_lo, val_hi), and
+    leaves the state randint would."""
+    for seed in range(3):
+        for n in (1, 2, 3):
+            for p in (2, 3, 5, 7):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                M = fuzz.random_local_matrix(ours, n, p, val_lo, val_hi)
+                rows = []
+                for _ in range(n):
+                    row = []
+                    for _ in range(n):
+                        num = theirs.randint(-(p**3), p**3)
+                        row.append(num * Fraction(p) ** theirs.randint(val_lo, val_hi))
+                    rows.append(row)
+                assert M == LocalMatrix(rows, p)
+                assert ours.getstate() == theirs.getstate()
+
+
+def test_generator_draws_refuse_empty_ranges():
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="empty range"):
+        fuzz.random_vertex(rng, 3, 1, 0)
+    with pytest.raises(ValueError, match="empty range"):
+        fuzz.random_integral_matrix(rng, 3, 2, bound=-1)
+    with pytest.raises(ValueError, match="empty range"):
+        fuzz.random_local_matrix(rng, 3, 2, 1, 0)
+
+
 def test_exponent_matrix_draws_refuse_bad_shapes():
     with pytest.raises(ValueError, match="empty range"):
         fuzz.random_exponent_matrix(random.Random(0), 3, 1, 0)
