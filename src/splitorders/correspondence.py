@@ -37,7 +37,9 @@ def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
     """Exponent matrix of the intersection of the maximal orders at the vertices.
 
     Ideals intersect to the larger exponent, so the result is the
-    entrywise maximum of the coordinate differences over the family.
+    entrywise maximum of the coordinate differences over the family.  Each
+    pair of coordinates is subtracted once: the maximum of m_i - m_j gives
+    entry (i, j) and minus its minimum gives entry (j, i).
 
     Raises EmptyVertexListError on an empty family and
     DimensionMismatchError when the vertices disagree on n.
@@ -47,12 +49,28 @@ def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
         raise EmptyVertexListError("intersection over an empty vertex family")
     if len(set(map(len, ms))) > 1:
         raise DimensionMismatchError("vertices of different dimension")
-    # column i holds coordinate i of every vertex; on the diagonal ci is cj,
-    # every difference is 0, and the scan is skipped
+    # column i holds coordinate i of every vertex; entry (i, j) is the
+    # largest and entry (j, i) minus the least difference of columns i, j
     cols = list(zip(*ms))
-    return ExponentMatrix._trusted(tuple([
-        tuple([0 if ci is cj else max(map(sub, ci, cj)) for cj in cols]) for ci in cols
-    ]))
+    n = len(cols)
+    rows = [[0] * n for _ in range(n)]
+    first = 0
+    if not any(cols[0]):
+        # normalized vertices: the differences against column 0 are column j
+        top = rows[0]
+        for j in range(1, n):
+            cj = cols[j]
+            rows[j][0] = max(cj)
+            top[j] = -min(cj)
+        first = 1
+    for i in range(first, n - 1):
+        ci = cols[i]
+        ri = rows[i]
+        for j in range(i + 1, n):
+            d = list(map(sub, ci, cols[j]))
+            ri[j] = max(d)
+            rows[j][i] = -min(d)
+    return ExponentMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def maximal_orders_containing(

@@ -621,6 +621,18 @@ class LocalMatrix:
         return cls(data["entries"], data["prime"])
 
 
+def _modulus(k: int, p: int) -> int:
+    """The modulus m that tests a numerator x for divisibility by p^k.
+
+    p^k divides x exactly when ``x & m`` is 0 at p = 2, where m masks the
+    low k bits, and when ``x % m`` is 0 otherwise; for k <= 0 every x
+    passes.
+    """
+    if p == 2:
+        return (1 << k) - 1 if k > 0 else 0
+    return p**k if k > 0 else 1
+
+
 def _valuation_test(bounds: Sequence[Sequence[int]], den: int, p: int):
     """Predicate on integer rows N: whether every entry of N / den has
     valuation at least ``bounds[i][j]``.
@@ -629,21 +641,31 @@ def _valuation_test(bounds: Sequence[Sequence[int]], den: int, p: int):
     not depend on how a fraction is written.  Entry (i, j) passes when
     p^k divides its numerator, k = bounds[i][j] + v(den); the moduli are
     computed here once, so the predicate can test many rows over the same
-    denominator.  At p = 2 each test masks the low k bits.
+    denominator.  ``_within`` tests one matrix by the same rule.
     """
     vden = _int_valuation(den, p)
-    ks = [b + vden for row in bounds for b in row]
-    if p == 2:
-        test = operator.and_
-        moduli = [(1 << k) - 1 if k > 0 else 0 for k in ks]
-    else:
-        test = operator.mod
-        moduli = [p**k if k > 0 else 1 for k in ks]
+    moduli = [_modulus(b + vden, p) for row in bounds for b in row]
+    test = operator.and_ if p == 2 else operator.mod
 
     def within(rows: Sequence[Sequence[int]]) -> bool:
         return not any(map(test, itertools.chain.from_iterable(rows), moduli))
 
     return within
+
+
+def _within(
+    rows: Sequence[Sequence[int]], bounds: Sequence[Sequence[int]], den: int, p: int
+) -> bool:
+    """``_valuation_test(bounds, den, p)(rows)`` for a single matrix: the
+    same test, entry by entry, stopping at the first entry that fails."""
+    vden = _int_valuation(den, p)
+    test = operator.and_ if p == 2 else operator.mod
+    for row, brow in zip(rows, bounds):
+        for x, b in zip(row, brow):
+            k = b + vden
+            if k > 0 and test(x, _modulus(k, p)):
+                return False
+    return True
 
 
 def in_split_order(A: LocalMatrix, nu: ExponentMatrix) -> bool:
@@ -652,7 +674,7 @@ def in_split_order(A: LocalMatrix, nu: ExponentMatrix) -> bool:
         raise DimensionMismatchError(
             f"matrix has n = {A.n} but exponents have n = {nu.n}"
         )
-    return _valuation_test(nu.entries, A.den, A.prime)(A.nums)
+    return _within(A.nums, nu.entries, A.den, A.prime)
 
 
 def lambda_membership(A: LocalMatrix, v: ApartmentVertex) -> bool:
@@ -665,7 +687,7 @@ def lambda_membership(A: LocalMatrix, v: ApartmentVertex) -> bool:
         raise DimensionMismatchError(f"matrix has n = {A.n} but vertex has n = {v.n}")
     m = v.m
     bounds = [[mi - mj for mj in m] for mi in m]
-    return _valuation_test(bounds, A.den, A.prime)(A.nums)
+    return _within(A.nums, bounds, A.den, A.prime)
 
 
 def conjugate(xi: LocalMatrix, A: LocalMatrix) -> LocalMatrix:

@@ -158,10 +158,168 @@ def minplus_closure(entries: Sequence[Sequence[int]]) -> Optional[list[list[int]
     Runs the classical relaxation over intermediate vertices.  Entry
     (i, j) of the result is the minimum, over all directed paths from i
     to j, of the total arc weight; the diagonal stays zero exactly when
-    every cycle has nonnegative weight.
+    every cycle has nonnegative weight.  The result is a new list of
+    lists.  Raises ValueError when ``entries`` is not square.
+
+    n = 2, 3 and 4 are written out entry by entry, with the loop's result
+    on every input.  While the pivot's diagonal entry d[k][k] is
+    nonnegative, relaxing row k or column k through k changes nothing;
+    once a diagonal entry is negative it stays negative and the result is
+    None.  So each pivot returns None on a negative d[k][k] and relaxes
+    the other (n - 1)^2 entries.  No check is left for the end: a
+    negative cycle has shown up on the diagonal of its highest vertex by
+    the time that vertex is the pivot.
     """
     n = len(entries)
+    if n == 2:
+        try:
+            (a00, a01), (a10, a11) = entries
+        except ValueError:
+            raise ValueError("matrix must be square") from None
+        if a00 < 0:
+            return None
+        if (s := a10 + a01) < a11:
+            a11 = s
+        if a11 < 0:
+            return None
+        if (s := a01 + a10) < a00:
+            a00 = s
+        return [[a00, a01], [a10, a11]]
+    if n == 3:
+        try:
+            (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = entries
+        except ValueError:
+            raise ValueError("matrix must be square") from None
+        if a00 < 0:
+            return None
+        if (s := a10 + a01) < a11:
+            a11 = s
+        if (s := a10 + a02) < a12:
+            a12 = s
+        if (s := a20 + a01) < a21:
+            a21 = s
+        if (s := a20 + a02) < a22:
+            a22 = s
+        if a11 < 0:
+            return None
+        if (s := a01 + a10) < a00:
+            a00 = s
+        if (s := a01 + a12) < a02:
+            a02 = s
+        if (s := a21 + a10) < a20:
+            a20 = s
+        if (s := a21 + a12) < a22:
+            a22 = s
+        if a22 < 0:
+            return None
+        if (s := a02 + a20) < a00:
+            a00 = s
+        if (s := a02 + a21) < a01:
+            a01 = s
+        if (s := a12 + a20) < a10:
+            a10 = s
+        if (s := a12 + a21) < a11:
+            a11 = s
+        return [[a00, a01, a02], [a10, a11, a12], [a20, a21, a22]]
+    if n == 4:
+        try:
+            (
+                (a00, a01, a02, a03),
+                (a10, a11, a12, a13),
+                (a20, a21, a22, a23),
+                (a30, a31, a32, a33),
+            ) = entries
+        except ValueError:
+            raise ValueError("matrix must be square") from None
+        if a00 < 0:
+            return None
+        if (s := a10 + a01) < a11:
+            a11 = s
+        if (s := a10 + a02) < a12:
+            a12 = s
+        if (s := a10 + a03) < a13:
+            a13 = s
+        if (s := a20 + a01) < a21:
+            a21 = s
+        if (s := a20 + a02) < a22:
+            a22 = s
+        if (s := a20 + a03) < a23:
+            a23 = s
+        if (s := a30 + a01) < a31:
+            a31 = s
+        if (s := a30 + a02) < a32:
+            a32 = s
+        if (s := a30 + a03) < a33:
+            a33 = s
+        if a11 < 0:
+            return None
+        if (s := a01 + a10) < a00:
+            a00 = s
+        if (s := a01 + a12) < a02:
+            a02 = s
+        if (s := a01 + a13) < a03:
+            a03 = s
+        if (s := a21 + a10) < a20:
+            a20 = s
+        if (s := a21 + a12) < a22:
+            a22 = s
+        if (s := a21 + a13) < a23:
+            a23 = s
+        if (s := a31 + a10) < a30:
+            a30 = s
+        if (s := a31 + a12) < a32:
+            a32 = s
+        if (s := a31 + a13) < a33:
+            a33 = s
+        if a22 < 0:
+            return None
+        if (s := a02 + a20) < a00:
+            a00 = s
+        if (s := a02 + a21) < a01:
+            a01 = s
+        if (s := a02 + a23) < a03:
+            a03 = s
+        if (s := a12 + a20) < a10:
+            a10 = s
+        if (s := a12 + a21) < a11:
+            a11 = s
+        if (s := a12 + a23) < a13:
+            a13 = s
+        if (s := a32 + a20) < a30:
+            a30 = s
+        if (s := a32 + a21) < a31:
+            a31 = s
+        if (s := a32 + a23) < a33:
+            a33 = s
+        if a33 < 0:
+            return None
+        if (s := a03 + a30) < a00:
+            a00 = s
+        if (s := a03 + a31) < a01:
+            a01 = s
+        if (s := a03 + a32) < a02:
+            a02 = s
+        if (s := a13 + a30) < a10:
+            a10 = s
+        if (s := a13 + a31) < a11:
+            a11 = s
+        if (s := a13 + a32) < a12:
+            a12 = s
+        if (s := a23 + a30) < a20:
+            a20 = s
+        if (s := a23 + a31) < a21:
+            a21 = s
+        if (s := a23 + a32) < a22:
+            a22 = s
+        return [
+            [a00, a01, a02, a03],
+            [a10, a11, a12, a13],
+            [a20, a21, a22, a23],
+            [a30, a31, a32, a33],
+        ]
     dist = [list(row) for row in entries]
+    if any(len(row) != n for row in dist):
+        raise ValueError("matrix must be square")
     for k in range(n):
         dk = dist[k]
         for i in range(n):

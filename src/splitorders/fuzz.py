@@ -320,27 +320,59 @@ def random_unit_matrix(
     operation: I + c E(i, j) adds c times column i to column j, a diagonal
     of units scales the columns, and the permutation matrix with ones at
     (r, perm[r]) moves column r to column perm[r].
+
+    Every choice is drawn from ``rng.getrandbits`` as ``_randint`` draws,
+    with the words that ``randrange(3)`` (the kind of step),
+    ``sample(range(n), 2)`` (the pair i, j, picked from a pool of n) and
+    ``shuffle`` (the permutation) consume; each unit's sign is
+    ``rng.random() < 0.5``.  So the matrix and the state left behind are
+    those of the plain calls.
     """
     p = prime
     rows = [list(row) for row in LocalMatrix.identity(n, p).nums]
+    draw = rng.getrandbits
+    q = p * p
+    c_width = 2 * q + 1
+    c_k, q_k = c_width.bit_length(), q.bit_length()
+    i_k, j_k = n.bit_length(), (n - 1).bit_length()
     for _ in range(steps):
-        kind = rng.randrange(3)
+        kind = draw(2)
+        while kind == 3:
+            kind = draw(2)
         if kind == 0 and n >= 2:
-            i, j = rng.sample(range(n), 2)
-            c = _randint(rng, -p * p, p * p)
+            i = draw(i_k)
+            while i >= n:
+                i = draw(i_k)
+            # the pool's slot i now holds its last element, n - 1
+            j = draw(j_k)
+            while j >= n - 1:
+                j = draw(j_k)
+            if j == i:
+                j = n - 1
+            c = draw(c_k)
+            while c >= c_width:
+                c = draw(c_k)
+            c -= q
             for row in rows:
                 row[j] += c * row[i]
         elif kind == 1:
             units = []
             for _ in range(n):
-                w = _randint(rng, 1, p * p)
-                while w % p == 0:
-                    w = _randint(rng, 1, p * p)
+                # a unit w in [1, p^2], as the word w - 1
+                w = draw(q_k)
+                while w >= q or (w + 1) % p == 0:
+                    w = draw(q_k)
+                w += 1
                 units.append(w if rng.random() < 0.5 else -w)
             rows = [list(map(operator.mul, row, units)) for row in rows]
         else:
             perm = list(range(n))
-            rng.shuffle(perm)
+            for i in range(n - 1, 0, -1):
+                k = (i + 1).bit_length()
+                j = draw(k)
+                while j > i:
+                    j = draw(k)
+                perm[i], perm[j] = perm[j], perm[i]
             moved = [[0] * n for _ in range(n)]
             for new_row, row in zip(moved, rows):
                 for r, x in zip(perm, row):

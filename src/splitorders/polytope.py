@@ -157,9 +157,9 @@ def enumerate_lattice_points(
 ) -> list[ApartmentVertex]:
     """All integer points of the region, in lexicographic coordinate order.
 
-    Scans the bounding box ``-upper[0][i] <= x_i <= upper[i][0]`` and keeps
-    the points satisfying the remaining constraints; ranges are narrowed
-    against already-fixed coordinates so infeasible branches are skipped
+    Scans the bounding box ``-upper[0][i] <= x_i <= upper[i][0]`` one
+    coordinate at a time, level by level: each range is narrowed against
+    the coordinates already fixed, so infeasible branches are skipped
     early.  Returns the empty list exactly when the region is empty.
 
     Raises EnumerationLimitError when the bounding box holds more than
@@ -178,27 +178,18 @@ def enumerate_lattice_points(
             )
     # x_idx >= x_i - u[i][idx] and x_idx <= x_i + u[idx][i] for i < idx; the
     # ranges use the declared bounds, not the closure, so that enumeration
-    # stays an independent check of max_difference
-    below = [[u[i][idx] for i in range(idx)] for idx in range(n)]
-    above = [u[idx][:idx] for idx in range(n)]
-    last = n - 1
-    points: list[tuple[int, ...]] = []
-
-    def extend(prefixes: list[tuple[int, ...]], idx: int) -> None:
-        # depth first, the children of one prefix built as one batch
-        b, a = below[idx], above[idx]
-        for prefix in prefixes:
-            children = [
-                prefix + (x,)
-                for x in range(max(map(sub, prefix, b)), min(map(add, prefix, a)) + 1)
-            ]
-            if idx == last:
-                points.extend(children)
-            elif children:
-                extend(children, idx + 1)
-
-    extend([(0,)], 1)
-    return ApartmentVertex._trusted(points)
+    # stays an independent check of max_difference.  Extending every prefix
+    # of one level in order keeps the points in lexicographic order.
+    level = [(0,)]
+    for idx in range(1, n):
+        below = [u[i][idx] for i in range(idx)]
+        above = u[idx][:idx]
+        level = [
+            prefix + (x,)
+            for prefix in level
+            for x in range(max(map(sub, prefix, below)), min(map(add, prefix, above)) + 1)
+        ]
+    return ApartmentVertex._trusted(level)
 
 
 def is_reduced(nu: ExponentMatrix) -> bool:

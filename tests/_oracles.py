@@ -41,6 +41,23 @@ def simple_path_closure(entries):
     return out
 
 
+def loop_minplus_closure(entries):
+    """All-pairs minimal path sums by the plain triple loop over pivots k,
+    rows i and columns j, relaxing in place; None when a diagonal entry
+    ends negative."""
+    n = len(entries)
+    dist = [list(row) for row in entries]
+    for k in range(n):
+        for i in range(n):
+            dik = dist[i][k]
+            for j in range(n):
+                if dik + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dik + dist[k][j]
+    if any(dist[i][i] < 0 for i in range(n)):
+        return None
+    return dist
+
+
 def naive_box_points(entries):
     """All integer points of the region, by filtering the full box."""
     n = len(entries)
@@ -220,3 +237,36 @@ def frac_ring_closure(entries, trials, seed, p, escapes=None):
         if escapes(frac_matmul(a, b)):
             return a, b
     return True
+
+
+def plain_random_unit_matrix(rng, n, p, steps=4):
+    """Integer rows of a random unit matrix, drawn with the plain
+    ``random.Random`` calls: ``randrange`` for the kind of step,
+    ``sample`` for the pair of columns, ``randint`` for the multiplier and
+    the units, ``random`` for each unit's sign and ``shuffle`` for the
+    permutation, which moves column r to column perm[r]."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        if kind == 0 and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-p * p, p * p)
+            for row in rows:
+                row[j] += c * row[i]
+        elif kind == 1:
+            units = []
+            for _ in range(n):
+                w = rng.randint(1, p * p)
+                while w % p == 0:
+                    w = rng.randint(1, p * p)
+                units.append(w if rng.random() < 0.5 else -w)
+            rows = [[x * u for x, u in zip(row, units)] for row in rows]
+        else:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = [[0] * n for _ in range(n)]
+            for new_row, row in zip(moved, rows):
+                for r, x in zip(perm, row):
+                    new_row[r] = x
+            rows = moved
+    return rows

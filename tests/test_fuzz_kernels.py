@@ -41,7 +41,7 @@ from splitorders.polytope import (
     polytope_of,
 )
 
-from _oracles import entrywise_max, naive_box_points
+from _oracles import entrywise_max, naive_box_points, plain_random_unit_matrix
 
 PRIMES = (2, 3, 5)
 
@@ -485,6 +485,30 @@ def test_generators_replay_the_randint_stream(monkeypatch, generator, args):
     ours = run()
     monkeypatch.setattr(fuzz, "_randint", lambda rng, lo, hi: rng.randint(lo, hi))
     assert run() == ours
+
+
+def test_unit_matrix_draws_are_the_plain_calls():
+    """``random_unit_matrix`` draws through ``getrandbits`` the words that
+    ``randrange``, ``sample``, ``randint`` and ``shuffle`` consume."""
+    for seed in range(150):
+        for n in (1, 2, 3, 4):
+            for p in (2, 3, 5, 7):
+                steps = 1 + seed % 5
+                ours, theirs = random.Random(seed), random.Random(seed)
+                M = random_unit_matrix(ours, n, p, steps=steps)
+                rows = plain_random_unit_matrix(theirs, n, p, steps=steps)
+                assert (M.nums, M.den) == (tuple(map(tuple, rows)), 1)
+                assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize(
+    "n, prime, message",
+    [(0, 2, "square and nonempty"), (2, 4, "4 is not prime"), (2, 2.5, "not an integer")],
+)
+def test_unit_matrix_refuses_bad_arguments(n, prime, message):
+    """The refusals of the identity matrix the steps start from."""
+    with pytest.raises(ValueError, match=message):
+        random_unit_matrix(random.Random(0), n, prime)
 
 
 # ---------------------------------------------------------------------------

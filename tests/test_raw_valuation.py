@@ -1,9 +1,9 @@
 """Membership tested on raw integer rows over a denominator.
 
 ``dvr._valuation_test`` reads valuations off numerators that need not be
-in lowest terms with their denominator; these tests hold it, and the
-membership tests built on it, to a Fraction oracle that reduces every
-entry first.  They also pin the written-out lowest-terms division and
+in lowest terms with their denominator; these tests hold it, the
+single-matrix ``dvr._within`` and the membership tests built on them to
+a Fraction oracle that reduces every entry first.  They also pin the written-out lowest-terms division and
 the argument checks of ``ring_closure_check``.
 """
 
@@ -93,6 +93,28 @@ def test_raw_test_on_negative_numerators_at_two():
     for x in range(-70, 71):
         for k in range(-2, 8):
             assert dvr._valuation_test([[k]], 1, 2)([[x]]) == (x == 0 or x % 2 ** max(k, 0) == 0)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_single_matrix_test_matches_the_predicate(p):
+    """``_within`` stops at the first failing entry; on raw rows, lowest
+    terms or not, it decides as ``_valuation_test`` does."""
+    rng = random.Random(3000 + p)
+    outcomes = set()
+    for n in (1, 2, 3, 4):
+        for _ in range(150):
+            fracs = [[_entry(rng, p) for _ in range(n)] for _ in range(n)]
+            bounds = _near_bounds(rng, fracs, p)
+            for extra in (1, p, p**3, 6 * p, 35):
+                rows, den = _raw(fracs, extra)
+                want = dvr._valuation_test(bounds, den, p)(rows)
+                assert dvr._within(rows, bounds, den, p) == want
+                outcomes.add(want)
+    assert outcomes == {True, False}
+    for x in range(-70, 71):
+        for k in range(-2, 8):
+            for den in (1, p, p**2 * 3):
+                assert dvr._within([[x]], [[k]], den, p) == dvr._valuation_test([[k]], den, p)([[x]])
 
 
 @pytest.mark.parametrize("p", PRIMES)
