@@ -465,8 +465,11 @@ class LocalMatrix:
     def matrix_unit(
         cls, n: int, i: int, j: int, prime: int, exponent: int = 0
     ) -> "LocalMatrix":
-        """p^exponent times the matrix unit E(i, j)."""
+        """p^exponent times the matrix unit E(i, j); raises IndexError
+        unless 0 <= i, j < n."""
         p = check_prime(prime)
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"matrix unit ({i}, {j}) out of range for n = {n}")
         rows = [[0] * n for _ in range(n)]
         if exponent >= 0:
             rows[i][j] = p**exponent

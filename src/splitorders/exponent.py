@@ -335,23 +335,18 @@ def minplus_closure(entries: Sequence[Sequence[int]]) -> Optional[list[list[int]
     return dist
 
 
-def _cached_closure(owner, rows, closure) -> tuple[tuple[int, ...], ...]:
-    """Min-plus closure of ``rows``, kept in ``owner._closure``.
+def _cached_closure(nu: ExponentMatrix) -> tuple[tuple[int, ...], ...]:
+    """Min-plus closure of ``nu``, kept in ``nu._closure``.
 
-    ``owner`` is the matrix or polytope whose bounds are ``rows``.  On
-    first use the slot is filled from ``closure(rows)``, where each caller
-    passes its own module's ``minplus_closure`` binding, with a tuple of
-    row tuples, or with the empty tuple on a negative cycle; so the result
-    is false exactly when there is a negative cycle.  A polytope made by
-    ``polytope_of`` holds its matrix in the slot until then, and filling
-    either one fills both.
+    On first use the slot is filled from this module's ``minplus_closure``,
+    looked up at call time, with a tuple of row tuples, or with the empty
+    tuple on a negative cycle; so the result is false exactly when there
+    is a negative cycle.
     """
-    closed = owner._closure
+    closed = nu._closure
     if closed is None:
-        dist = closure(rows)
-        closed = owner._closure = () if dist is None else tuple(map(tuple, dist))
-    elif type(closed) is not tuple:
-        closed = owner._closure = _cached_closure(closed, rows, closure)
+        dist = minplus_closure(nu.entries)
+        closed = nu._closure = () if dist is None else tuple(map(tuple, dist))
     return closed
 
 
@@ -361,7 +356,7 @@ def has_containing_maximal(nu: ExponentMatrix) -> bool:
     Equivalent to every directed cycle of exponents having nonnegative
     weight, and to the difference region of ``nu`` being nonempty.
     """
-    return bool(_cached_closure(nu, nu.entries, minplus_closure))
+    return bool(_cached_closure(nu))
 
 
 def order_hull(nu: ExponentMatrix) -> ExponentMatrix:
@@ -372,7 +367,7 @@ def order_hull(nu: ExponentMatrix) -> ExponentMatrix:
 
     Raises NegativeCycleError when no containing maximal order exists.
     """
-    closed = _cached_closure(nu, nu.entries, minplus_closure)
+    closed = _cached_closure(nu)
     if not closed:
         raise NegativeCycleError(
             "exponent matrix has a negative cycle; no order contains it"

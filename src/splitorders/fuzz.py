@@ -192,12 +192,13 @@ class FuzzReport(FrozenRecord):
 # random generators
 
 
-def _randint(rng: random.Random, lo: int, hi: int) -> int:
-    """``rng.randint(lo, hi)``, drawn straight from ``rng.getrandbits``.
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``[rng.randint(lo, hi) for _ in range(count)]``, drawn straight from
+    ``rng.getrandbits``.
 
-    r = getrandbits(k), with k the bit length of the width hi - lo + 1, is
-    redrawn while r >= width, and lo + r is returned.  That is word for
-    word what ``randint`` consumes, so the value and the state left behind
+    Each value draws r = getrandbits(k), with k the bit length of the width
+    hi - lo + 1, redraws while r >= width, and is lo + r.  That is word for
+    word what ``randint`` consumes, so the values and the state left behind
     are the same, for ``random.Random`` and any subclass that keeps its
     ``getrandbits``; only the layers of argument checks are skipped.
     """
@@ -205,81 +206,46 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     if width < 1:
         raise ValueError(f"empty range [{lo}, {hi}]")
     k = width.bit_length()
-    r = rng.getrandbits(k)
-    while r >= width:
-        r = rng.getrandbits(k)
-    return lo + r
+    draw = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = draw(k)
+        while r >= width:
+            r = draw(k)
+        out.append(lo + r)
+    return out
 
 
 def random_exponent_matrix(
     rng: random.Random, n: int, lo: int, hi: int
 ) -> ExponentMatrix:
     """Exponent matrix whose off-diagonal entries, row by row, are drawn
-    from [lo, hi] with the ``getrandbits`` words ``_randint`` consumes."""
+    from [lo, hi] by ``_randints``."""
     if n < 2:
         raise ValueError(f"exponent matrix needs dimension >= 2, got {n}")
-    width = hi - lo + 1
-    if width < 1:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    k = width.bit_length()
-    draw = rng.getrandbits
+    d = _randints(rng, lo, hi, n * (n - 1))
     rows = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            r = 0
-            if i != j:
-                r = draw(k)
-                while r >= width:
-                    r = draw(k)
-                r += lo
-            row.append(r)
+        row = d[i * (n - 1) : (i + 1) * (n - 1)]
+        row.insert(i, 0)
         rows.append(tuple(row))
     return ExponentMatrix._trusted(tuple(rows))
 
 
-def _width_bits(lo: int, hi: int) -> tuple[int, int]:
-    """(width, k) of [lo, hi]: ``_randint`` draws k-bit words below width."""
-    width = hi - lo + 1
-    if width < 1:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    return width, width.bit_length()
-
-
 def random_vertex(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> ApartmentVertex:
-    """Vertex whose n coordinates are drawn from [lo, hi] with the
-    ``getrandbits`` words ``_randint`` consumes."""
-    width, k = _width_bits(lo, hi)
-    draw = rng.getrandbits
-    m = []
-    for _ in range(n):
-        r = draw(k)
-        while r >= width:
-            r = draw(k)
-        m.append(lo + r)
-    return ApartmentVertex(m)
+    """Vertex whose n coordinates are drawn from [lo, hi] by ``_randints``."""
+    return ApartmentVertex(_randints(rng, lo, hi, n))
 
 
 def random_integral_matrix(
     rng: random.Random, n: int, prime: int, bound: Optional[int] = None
 ) -> LocalMatrix:
     """Integer matrix whose entries, row by row, are drawn from
-    [-bound, bound] (bound = p^3 by default) with the ``getrandbits``
-    words ``_randint`` consumes."""
+    [-bound, bound] (bound = p^3 by default) by ``_randints``."""
     if bound is None:
         bound = prime**3
-    width, k = _width_bits(-bound, bound)
-    draw = rng.getrandbits
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            r = draw(k)
-            while r >= width:
-                r = draw(k)
-            row.append(r - bound)
-        rows.append(row)
-    return LocalMatrix(rows, prime)
+    d = _randints(rng, -bound, bound, n * n)
+    return LocalMatrix([d[i * n : (i + 1) * n] for i in range(n)], prime)
 
 
 def random_local_matrix(
@@ -288,11 +254,14 @@ def random_local_matrix(
     """Matrix with entries num * p^e for random num and e in [val_lo, val_hi].
 
     Entry by entry, row by row, num is drawn from [-p^3, p^3] and then e,
-    with the ``getrandbits`` words ``_randint`` consumes.
+    with the ``getrandbits`` words ``_randints`` consumes for each.
     """
     bound = prime**3
-    num_width, num_k = _width_bits(-bound, bound)
-    e_width, e_k = _width_bits(val_lo, val_hi)
+    num_width = 2 * bound + 1
+    e_width = val_hi - val_lo + 1
+    if e_width < 1:
+        raise ValueError(f"empty range [{val_lo}, {val_hi}]")
+    num_k, e_k = num_width.bit_length(), e_width.bit_length()
     shift = max(0, -val_lo)
     base = val_lo + shift  # the exponent of the word e = 0, shifted
     draw = rng.getrandbits
@@ -321,15 +290,17 @@ def random_unit_matrix(
     of units scales the columns, and the permutation matrix with ones at
     (r, perm[r]) moves column r to column perm[r].
 
-    Every choice is drawn from ``rng.getrandbits`` as ``_randint`` draws,
+    Every choice is drawn from ``rng.getrandbits`` as ``_randints`` draws,
     with the words that ``randrange(3)`` (the kind of step),
     ``sample(range(n), 2)`` (the pair i, j, picked from a pool of n) and
     ``shuffle`` (the permutation) consume; each unit's sign is
     ``rng.random() < 0.5``.  So the matrix and the state left behind are
     those of the plain calls.
     """
-    p = prime
-    rows = [list(row) for row in LocalMatrix.identity(n, p).nums]
+    p = check_prime(prime)
+    if n < 1:
+        raise ValueError("matrix must be square and nonempty")
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     draw = rng.getrandbits
     q = p * p
     c_width = 2 * q + 1
@@ -386,7 +357,7 @@ def random_change_of_basis(
 ) -> LocalMatrix:
     """Random invertible matrix over the field: units mixed with diagonal p powers."""
     out = random_unit_matrix(rng, n, prime, steps=steps)
-    powers = [_randint(rng, -2, 2) for _ in range(n)]
+    powers = _randints(rng, -2, 2, n)
     return out @ LocalMatrix.power_diagonal(powers, prime)
 
 
@@ -395,7 +366,7 @@ def random_triangular_form(
 ) -> LocalMatrix:
     """Matrix already in canonical triangular shape, built entry by entry."""
     p = prime
-    exps = [_randint(rng, 0, max_exponent) for _ in range(n)]
+    exps = _randints(rng, 0, max_exponent, n)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = p ** exps[i]

@@ -18,7 +18,7 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import EmptyPolytopeError, EnumerationLimitError
-from .exponent import ExponentMatrix, _cached_closure, int_tuple, minplus_closure
+from .exponent import ExponentMatrix, _cached_closure, int_tuple
 
 DEFAULT_POINT_LIMIT = 10**6
 
@@ -26,30 +26,30 @@ DEFAULT_POINT_LIMIT = 10**6
 class DifferencePolytope:
     """Region cut out by the two-sided difference bounds of an exponent matrix.
 
-    ``_closure`` caches the min-plus closure of the bounds, as on
-    ``ExponentMatrix``; equality, hashing and repr ignore it.
+    ``nu`` is that matrix, and ``upper`` its entries; the region reads the
+    min-plus closure kept on ``nu``.  Equality, hashing and repr compare
+    the bounds only.
     """
 
-    __slots__ = ("n", "upper", "_closure")
+    __slots__ = ("n", "upper", "nu")
 
     def __init__(self, upper: Sequence[Sequence[int]]):
-        rows = tuple(map(int_tuple, upper))
-        n = len(rows)
-        if n < 2 or any(len(row) != n for row in rows):
-            raise ValueError("bound matrix must be square with n >= 2")
-        if any(rows[i][i] != 0 for i in range(n)):
-            raise ValueError("bound matrix must have zero diagonal")
-        self.n = n
-        self.upper = rows
-        self._closure = None
+        nu = ExponentMatrix(upper)
+        self.n = nu.n
+        self.upper = nu.entries
+        self.nu = nu
 
     def difference_range(self, i: int, j: int) -> tuple[int, int]:
         """Declared two-sided bound (lo, hi) with lo <= x_i - x_j <= hi."""
         return (-self.upper[j][i], self.upper[i][j])
 
     def contains(self, coords: Iterable[int]) -> bool:
-        """Whether an integer point satisfies every declared constraint."""
-        x = tuple(coords)
+        """Whether an integer point satisfies every declared constraint.
+
+        Coordinates are read as by ``int_tuple``: a bool or a non-integral
+        value raises instead of being coerced.
+        """
+        x = int_tuple(coords)
         if len(x) != self.n or x[0] != 0:
             return False
         u = self.upper
@@ -121,19 +121,18 @@ class ApartmentVertex:
 def polytope_of(nu: ExponentMatrix) -> DifferencePolytope:
     """Difference region of an exponent matrix (entries become the upper bounds).
 
-    The region and the matrix share one cached closure: until it is
-    computed, the region's slot holds the matrix.
+    The region keeps ``nu`` itself, so the two share one cached closure.
     """
     P = object.__new__(DifferencePolytope)
     P.n = nu.n
     P.upper = nu.entries
-    P._closure = nu if nu._closure is None else nu._closure
+    P.nu = nu
     return P
 
 
 def is_empty(P: DifferencePolytope) -> bool:
     """Whether the region has no point; detected by a negative cycle of bounds."""
-    return not _cached_closure(P, P.upper, minplus_closure)
+    return not _cached_closure(P.nu)
 
 
 def max_difference(P: DifferencePolytope, i: int, j: int) -> int:
@@ -141,12 +140,15 @@ def max_difference(P: DifferencePolytope, i: int, j: int) -> int:
 
     This is the minimal path sum from i to j in the digraph of bounds,
     which the region attains.  Raises EmptyPolytopeError when the region
-    is empty and IndexError on out-of-range coordinates.
+    is empty, IndexError on out-of-range coordinates and TypeError on
+    bool ones.
     """
     n = P.n
+    if type(i) is bool or type(j) is bool:
+        raise TypeError(f"coordinate pair ({i!r}, {j!r}) is not a pair of integers")
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"coordinate pair ({i}, {j}) out of range for n = {n}")
-    closed = _cached_closure(P, P.upper, minplus_closure)
+    closed = _cached_closure(P.nu)
     if not closed:
         raise EmptyPolytopeError("region is empty; differences have no maximum")
     return closed[i][j]
@@ -200,4 +202,4 @@ def is_reduced(nu: ExponentMatrix) -> bool:
     region is never reduced.
     """
     # the empty tuple that marks a negative cycle equals no matrix
-    return _cached_closure(nu, nu.entries, minplus_closure) == nu.entries
+    return _cached_closure(nu) == nu.entries

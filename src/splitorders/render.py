@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import UnsupportedDimensionError
-from .exponent import ExponentMatrix, _cached_closure, minplus_closure
+from .exponent import ExponentMatrix, _cached_closure
 from .polytope import enumerate_lattice_points, polytope_of
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -62,7 +62,7 @@ def render_polytope_svg(
     import xml.etree.ElementTree as ET
 
     u = nu.entries
-    closed = _cached_closure(nu, u, minplus_closure)
+    closed = _cached_closure(nu)
     points = enumerate_lattice_points(polytope_of(nu))
 
     # window in apartment coordinates, from the box against coordinate 0

@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import splitorders
 from splitorders.cli import UsageError, build_parser, cmd_fuzz, main
 from splitorders.fuzz import FuzzConfig
 
@@ -312,6 +315,44 @@ def test_fuzz_replays_golden_output(capsys, argv, golden):
     assert main(["fuzz", *argv]) == 0
     expected = (Path(__file__).parent / "golden" / golden).read_text()
     assert capsys.readouterr().out == expected
+
+
+def _run_module(*args, stdin=""):
+    """``python -m splitorders`` on the package under test, in a child process."""
+    src = str(Path(splitorders.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "splitorders", *args],
+        input=stdin,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "stdin, code",
+    [("[[0, 1], [0, 0]]", 0), ("[[0, -2], [1, 0]]", 1), ("[[0, 1.5], [0, 0]]", 2)],
+    ids=["order", "negative-cycle", "bad-entry"],
+)
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys, stdin, code):
+    """``python -m splitorders check -`` prints and exits as ``main`` does."""
+    done = _run_module("check", "-", stdin=stdin + "\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin + "\n"))
+    assert main(["check", "-"]) == done.returncode == code
+    captured = capsys.readouterr()
+    assert (done.stdout, done.stderr) == (captured.out, captured.err)
+    if code == 2:
+        assert done.stdout == "" and done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+
+
+def test_python_dash_m_replays_a_golden_fuzz_run():
+    done = _run_module("fuzz", "--seed", "3", "--prime", "7", "--trials", "300")
+    assert done.returncode == 0 and done.stderr == ""
+    golden = Path(__file__).parent / "golden" / "fuzz_seed3_prime7_trials300.txt"
+    assert done.stdout == golden.read_text()
 
 
 BOUND = 3317044064679887385961981

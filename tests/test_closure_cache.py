@@ -1,7 +1,8 @@
-"""The min-plus closure kept on matrices and polytopes.
+"""The min-plus closure kept on exponent matrices.
 
-Each ``ExponentMatrix`` and ``DifferencePolytope`` computes its closure at
-most once, on first use, and keeps it in ``_closure``.  These tests pin
+Each ``ExponentMatrix`` computes its closure at most once, on first use,
+and keeps it in ``_closure``; a ``DifferencePolytope`` reads the closure
+of its matrix ``P.nu`` and keeps none of its own.  These tests pin
 that the kept copy is invisible to equality, hashing, repr and copying,
 that nothing outside can change it, that the unchecked producers leave a
 correct one, that each command computes one closure, and that a wrong
@@ -10,10 +11,13 @@ referees read ``minplus_closure`` and ``tests/_oracles.py``, never the
 slot.
 """
 
+import ast
 import copy
+import inspect
 import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -43,8 +47,10 @@ from splitorders.polytope import (
 
 from _oracles import brute_max_difference, naive_box_points, simple_path_closure
 
-# modules that fill a slot through their own minplus_closure binding
-FILLERS = (exponent, polytope, render)
+# the one module that fills a slot, through its minplus_closure binding
+FILLERS = (exponent,)
+# the modules that read a slot, through their _cached_closure binding
+READERS = (exponent, polytope, render)
 
 
 def _fresh(nu):
@@ -102,15 +108,16 @@ def test_every_reader_shares_one_closure(closure_calls):
 def test_a_polytope_fills_the_slot_of_its_matrix(closure_calls):
     nu = ExponentMatrix([[0, 1, 4], [2, 0, 1], [0, 3, 0]])
     P = polytope_of(nu)
-    assert P._closure is nu
+    assert P.nu is nu and P.upper is nu.entries and nu._closure is None
     points = enumerate_lattice_points(P)
-    assert nu._closure == P._closure == _fresh(nu)
+    assert nu._closure == _fresh(nu)
     assert is_reduced(nu) == (nu._closure == nu.entries)
     assert [p.m for p in points] == naive_box_points(nu.entries)
     assert len(closure_calls) == 1
-    # a region built from bounds has its own slot
+    # a region built from bounds gets its own matrix, with its own slot
     Q = DifferencePolytope(nu.entries)
-    assert Q._closure is None and not is_empty(Q)
+    assert Q.nu == nu and Q.nu is not nu and Q.nu._closure is None
+    assert not is_empty(Q) and Q.nu._closure == nu._closure
     assert len(closure_calls) == 2
 
 
@@ -166,7 +173,7 @@ def test_equality_hash_and_repr_ignore_the_slot():
     assert repr(filled) == repr(empty) == "ExponentMatrix([[0, 1, 4], [2, 0, 1], [0, 3, 0]])"
     P, Q = DifferencePolytope(rows), polytope_of(filled)
     assert not is_empty(Q)
-    assert P._closure is None and Q._closure
+    assert P.nu._closure is None and Q.nu._closure
     assert P == Q and hash(P) == hash(Q) and repr(P) == repr(Q)
 
 
@@ -186,10 +193,10 @@ def _filled_objects():
 @pytest.mark.parametrize("index", range(5))
 def test_copies_keep_an_equal_closure(index):
     obj = _filled_objects()[index]
-    rows = obj.upper if isinstance(obj, DifferencePolytope) else obj.entries
-    closed = obj._closure
+    matrix = obj.nu if isinstance(obj, DifferencePolytope) else obj
+    closed = matrix._closure
     assert type(closed) is tuple
-    assert closed == _fresh(ExponentMatrix(rows))
+    assert closed == _fresh(ExponentMatrix(matrix.entries))
     for clone in (
         pickle.loads(pickle.dumps(obj)),
         pickle.loads(pickle.dumps(obj, protocol=2)),
@@ -198,29 +205,30 @@ def test_copies_keep_an_equal_closure(index):
     ):
         assert type(clone) is type(obj)
         assert clone == obj and hash(clone) == hash(obj) and repr(clone) == repr(obj)
-        assert clone._closure == closed
+        clone_matrix = clone.nu if isinstance(clone, DifferencePolytope) else clone
+        assert clone_matrix._closure == closed
 
 
 def test_a_copied_polytope_fills_its_copied_matrix():
     nu = ExponentMatrix([[0, 1, 4], [2, 0, 1], [0, 3, 0]])
     P = polytope_of(nu)
     clone = pickle.loads(pickle.dumps(P))
-    assert clone._closure == nu and clone._closure is not nu
+    assert clone.nu == nu and clone.nu is not nu and clone.nu._closure is None
     assert not is_empty(clone)
-    assert clone._closure == _fresh(nu)
-    assert nu._closure is None and P._closure is nu
+    assert clone.nu._closure == _fresh(nu)
+    assert nu._closure is None and P.nu is nu
 
 
 def test_mutating_a_returned_closure_leaves_the_slot_alone(monkeypatch):
     handed_out = []
-    real = polytope.minplus_closure
+    real = exponent.minplus_closure
 
     def keep(rows):
         closed = real(rows)
         handed_out.append(closed)
         return closed
 
-    monkeypatch.setattr(polytope, "minplus_closure", keep)
+    monkeypatch.setattr(exponent, "minplus_closure", keep)
     nu = ExponentMatrix([[0, 0, 2], [3, 0, 1], [3, 2, 0]])
     P = polytope_of(nu)
     assert max_difference(P, 0, 2) == 1
@@ -228,7 +236,7 @@ def test_mutating_a_returned_closure_leaves_the_slot_alone(monkeypatch):
     returned[0][2] = 99
     returned[1] = [7, 7, 7]
     assert max_difference(P, 0, 2) == 1
-    assert nu._closure == P._closure == ((0, 0, 1), (3, 0, 1), (3, 2, 0))
+    assert nu._closure == ((0, 0, 1), (3, 0, 1), (3, 2, 0))
     # the public function always hands out a fresh list
     public = minplus_closure(nu.entries)
     public[0][0] = -1
@@ -262,6 +270,37 @@ def test_trusted_producers_leave_a_correct_slot():
         _assert_trusted(intersect_maximal(family))
         _assert_trusted(maximal_order_exponents(family[0]))
         _assert_trusted(random_exponent_matrix(rng, nu.n, -3, 5))
+
+
+def test_only_exponent_computes_or_keeps_a_closure():
+    """No module but ``exponent`` names ``minplus_closure``, touches a
+    ``_closure`` slot or hands ``_cached_closure`` more than the matrix;
+    the package ``__init__`` only imports ``minplus_closure`` to re-export it."""
+    assert list(inspect.signature(exponent._cached_closure).parameters) == ["nu"]
+    assert "_closure" not in DifferencePolytope.__slots__
+    for path in sorted(Path(exponent.__file__).parent.glob("*.py")):
+        if path.stem == "exponent":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        nodes = list(ast.walk(tree))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        imported = {
+            alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        strings = {
+            node.value for node in nodes
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert "minplus_closure" not in names | attrs, path.name
+        if path.stem != "__init__":
+            assert "minplus_closure" not in imported, path.name
+        assert "_closure" not in attrs | strings, path.name
+        for node in nodes:
+            if isinstance(node, ast.Call) and "_cached_closure" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                assert len(node.args) == 1 and not node.keywords, (path.name, node.lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +368,17 @@ def off_by_one_fill(monkeypatch):
     """Every slot filled with a closure one too large in entry (0, 1)."""
     real = exponent._cached_closure
 
-    def mutant(owner, rows, closure):
-        def bumped(rows):
-            closed = closure(rows)
-            if closed is not None:
-                closed[0][1] += 1
-            return closed
+    def mutant(nu):
+        closed = nu._closure
+        if closed is None:
+            closed = real(nu)
+            if closed:
+                bumped = [list(row) for row in closed]
+                bumped[0][1] += 1
+                closed = nu._closure = tuple(map(tuple, bumped))
+        return closed
 
-        return real(owner, rows, bumped)
-
-    for module in FILLERS:
+    for module in READERS:
         monkeypatch.setattr(module, "_cached_closure", mutant)
 
 

@@ -155,12 +155,12 @@ def test_max_difference_check_catches_an_off_by_one_closure(monkeypatch, delta):
     ``max_difference`` and the emptiness test; enumeration keeps cutting
     by the declared bounds, so the check sees the wrong maximum.
     """
-    from splitorders import fuzz, polytope
+    from splitorders import exponent, fuzz
 
     check = dict(fuzz.CHECKS)["max-difference-enumeration"]
     config = fuzz.FuzzConfig(trials=60, seed=5)
     assert check(random.Random(5), config)[1] is None
-    real = polytope.minplus_closure
+    real = exponent.minplus_closure
 
     def off_by_one(upper):
         closed = real(upper)
@@ -168,7 +168,7 @@ def test_max_difference_check_catches_an_off_by_one_closure(monkeypatch, delta):
             closed[0][1] += delta
         return closed
 
-    monkeypatch.setattr(polytope, "minplus_closure", off_by_one)
+    monkeypatch.setattr(exponent, "minplus_closure", off_by_one)
     _, failure = check(random.Random(5), config)
     assert failure is not None and "pair (0, 1)" in failure["note"]
 
@@ -312,6 +312,15 @@ def test_integer_builders_validate():
         LocalMatrix.matrix_unit(2, 2, 0, 2)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (-2, -2), (0, 2), (3, 1)])
+def test_matrix_unit_refuses_indices_outside_the_matrix(i, j):
+    """A negative index used to wrap around: (-1, 0) at n = 2 gave E(1, 0)."""
+    with pytest.raises(IndexError, match="out of range"):
+        LocalMatrix.matrix_unit(2, i, j, 2)
+    with pytest.raises(IndexError, match="out of range"):
+        LocalMatrix.matrix_unit(2, i, j, 2, exponent=-1)
+
+
 # ---------------------------------------------------------------------------
 # golden generator streams, captured from the Fraction-built generators
 
@@ -369,14 +378,16 @@ _RANDINT_RANGES = [
 def test_exact_stream_draw_is_randint(lo, hi):
     for seed in range(5):
         ours, theirs = random.Random(seed), random.Random(seed)
-        for _ in range(200):
-            assert fuzz._randint(ours, lo, hi) == theirs.randint(lo, hi)
+        for count in (0, 1, 2, 7, 200):
+            assert fuzz._randints(ours, lo, hi, count) == [
+                theirs.randint(lo, hi) for _ in range(count)
+            ]
         assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("lo, hi", _RANDINT_RANGES)
 def test_exponent_matrix_draws_are_randint(lo, hi):
-    """random_exponent_matrix draws its words itself; the entries, row by
+    """random_exponent_matrix draws through _randints; the entries, row by
     row off the diagonal, and the state left behind are those of randint."""
     for seed in range(3):
         for n in (2, 3, 5):
@@ -391,7 +402,7 @@ def test_exponent_matrix_draws_are_randint(lo, hi):
 
 @pytest.mark.parametrize("lo, hi", _RANDINT_RANGES)
 def test_vertex_draws_are_randint(lo, hi):
-    """random_vertex draws its words itself; its coordinates, in order,
+    """random_vertex draws through _randints; its coordinates, in order,
     and the state left behind are those of randint."""
     for seed in range(3):
         for n in (2, 3, 5):
@@ -403,7 +414,7 @@ def test_vertex_draws_are_randint(lo, hi):
 
 @pytest.mark.parametrize("bound", [None, 0, 1, 4, 7, 8, 2**40])
 def test_integral_matrix_draws_are_randint(bound):
-    """random_integral_matrix draws its words itself; its entries, row by
+    """random_integral_matrix draws through _randints; its entries, row by
     row from [-bound, bound] (p^3 by default), and the state left behind
     are those of randint."""
     for seed in range(3):
@@ -457,7 +468,9 @@ def test_exponent_matrix_draws_refuse_bad_shapes():
 
 def test_exact_stream_draw_refuses_an_empty_range():
     with pytest.raises(ValueError, match="empty range"):
-        fuzz._randint(random.Random(0), 1, 0)
+        fuzz._randints(random.Random(0), 1, 0, 3)
+    with pytest.raises(ValueError, match="empty range"):
+        fuzz._randints(random.Random(0), 1, 0, 0)
 
 
 _STREAM_GENERATORS = [
@@ -475,7 +488,7 @@ _STREAM_GENERATORS = [
 
 @pytest.mark.parametrize("generator, args", _STREAM_GENERATORS)
 def test_generators_replay_the_randint_stream(monkeypatch, generator, args):
-    """Each generator gives the same output and state with _randint as with randint."""
+    """Each generator gives the same output and state with _randints as with randint."""
 
     def run():
         rng = random.Random(17)
@@ -483,7 +496,9 @@ def test_generators_replay_the_randint_stream(monkeypatch, generator, args):
         return out, rng.getstate()
 
     ours = run()
-    monkeypatch.setattr(fuzz, "_randint", lambda rng, lo, hi: rng.randint(lo, hi))
+    monkeypatch.setattr(
+        fuzz, "_randints", lambda rng, lo, hi, count: [rng.randint(lo, hi) for _ in range(count)]
+    )
     assert run() == ours
 
 

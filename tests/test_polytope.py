@@ -6,6 +6,7 @@ from splitorders.errors import EmptyPolytopeError, EnumerationLimitError
 from splitorders.exponent import ExponentMatrix, minplus_closure
 from splitorders.polytope import (
     ApartmentVertex,
+    DifferencePolytope,
     enumerate_lattice_points,
     is_empty,
     is_reduced,
@@ -89,6 +90,28 @@ def test_max_difference_index_validation():
         max_difference(P, 0, 3)
     with pytest.raises(IndexError):
         max_difference(P, -1, 0)
+
+
+@pytest.mark.parametrize("i, j", [(True, 0), (0, False), (True, True)])
+def test_max_difference_refuses_bool_indices(i, j):
+    """A bool index used to read as 0 or 1: (True, 0) gave entry (1, 0)."""
+    with pytest.raises(TypeError):
+        max_difference(polytope_of(NU), i, j)
+
+
+@pytest.mark.parametrize("coords", [[0, 0.5], [0, True], [False, 0], [0, "1"], [0, None]])
+def test_contains_refuses_non_integer_coordinates(coords):
+    """Coordinates read as int_tuple reads them: [0, 0.5] and [0, True]
+    used to be points of [[0, 1], [1, 0]]."""
+    P = DifferencePolytope([[0, 1], [1, 0]])
+    with pytest.raises((TypeError, ValueError)):
+        P.contains(coords)
+
+
+def test_contains_reads_integral_coordinates():
+    P = DifferencePolytope([[0, 1], [1, 0]])
+    assert P.contains([0, 1.0]) and P.contains((0, -1)) and not P.contains([0, 2.0])
+    assert not P.contains([0, 0, 0]) and not P.contains([1, 1])
 
 
 def test_enumeration_matches_naive_box_scan():
