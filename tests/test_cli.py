@@ -348,13 +348,6 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys, stdin, code):
         assert done.stderr.count("\n") == 1
 
 
-def test_python_dash_m_replays_a_golden_fuzz_run():
-    done = _run_module("fuzz", "--seed", "3", "--prime", "7", "--trials", "300")
-    assert done.returncode == 0 and done.stderr == ""
-    golden = Path(__file__).parent / "golden" / "fuzz_seed3_prime7_trials300.txt"
-    assert done.stdout == golden.read_text()
-
-
 BOUND = 3317044064679887385961981
 NEED_N = "need 2 <= n_min <= n_max"
 ABOVE_6 = "dimensions above 6 are not supported"

@@ -275,7 +275,8 @@ def test_trusted_producers_leave_a_correct_slot():
 def test_only_exponent_computes_or_keeps_a_closure():
     """No module but ``exponent`` names ``minplus_closure``, touches a
     ``_closure`` slot or hands ``_cached_closure`` more than the matrix;
-    the package ``__init__`` only imports ``minplus_closure`` to re-export it."""
+    the package ``__init__`` and ``polytope`` only import ``minplus_closure``
+    to re-export it."""
     assert list(inspect.signature(exponent._cached_closure).parameters) == ["nu"]
     assert "_closure" not in DifferencePolytope.__slots__
     for path in sorted(Path(exponent.__file__).parent.glob("*.py")):
@@ -293,7 +294,8 @@ def test_only_exponent_computes_or_keeps_a_closure():
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
         }
         assert "minplus_closure" not in names | attrs, path.name
-        if path.stem != "__init__":
+        # the package and polytope re-export the name; neither reads it
+        if path.stem not in ("__init__", "polytope"):
             assert "minplus_closure" not in imported, path.name
         assert "_closure" not in attrs | strings, path.name
         for node in nodes:
