@@ -71,12 +71,11 @@ from .exponent import (
 )
 from .fuzz import FuzzConfig, FuzzReport, run_fuzz
 from .polytope import (
-    DifferencePolytope,
+    contains,
+    difference_range,
     enumerate_lattice_points,
-    is_empty,
     is_reduced,
     max_difference,
-    polytope_of,
 )
 from .render import apartment_to_plane, render_polytope_svg
 
@@ -86,7 +85,6 @@ __all__ = [
     "AlreadyDiagonalError",
     "Apartment",
     "ApartmentVertex",
-    "DifferencePolytope",
     "DimensionMismatchError",
     "EmptyPolytopeError",
     "EmptyVertexListError",
@@ -110,7 +108,9 @@ __all__ = [
     "UnsupportedDimensionError",
     "apartment_to_plane",
     "conjugate",
+    "contains",
     "diagonal_witness",
+    "difference_range",
     "divisor_invariance_check",
     "elementary_divisors",
     "enumerate_lattice_points",
@@ -124,7 +124,6 @@ __all__ = [
     "incident_lattices",
     "intersect_in_apartment",
     "intersect_maximal",
-    "is_empty",
     "is_order",
     "is_reduced",
     "lambda_membership",
@@ -134,7 +133,6 @@ __all__ = [
     "maximal_orders_containing",
     "minplus_closure",
     "order_hull",
-    "polytope_of",
     "rational_valuation",
     "render_polytope_svg",
     "ring_closure_check",

@@ -9,7 +9,8 @@ pair.  Commands print results and raise; only ``main`` prints ``error:``.
 (2 max(--max, 0) + 1)^(--n - 1) cells, is over the enumeration guard.
 Other ``SplitOrderError``s exit 1: a negative cycle, a region over the
 guard, an empty or mixed vertex list, ``hijikata`` at n != 2, ``draw``
-at n != 3.
+at n != 3, and an exponent matrix with n over ``MAX_INPUT_DIMENSION``
+(256), refused on loading before any closure is computed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .correspondence import ApartmentVertex, intersect_maximal, verify_roundtrip
-from .errors import SplitOrderError
+from .errors import SplitOrderError, UnsupportedDimensionError
 from .exponent import (
     ExponentMatrix,
     first_violation,
@@ -30,8 +31,12 @@ from .exponent import (
     order_hull,
 )
 from .fuzz import FuzzConfig, run_fuzz
-from .polytope import enumerate_lattice_points, is_reduced, polytope_of
+from .polytope import enumerate_lattice_points, is_reduced
 from .render import check_drawing_options, render_polytope_svg
+
+
+# largest n of an exponent matrix read from input: about 1 s of closure
+MAX_INPUT_DIMENSION = 256
 
 
 class UsageError(Exception):
@@ -109,12 +114,18 @@ def _exponent_matrix(data) -> ExponentMatrix:
 
 
 def _load(path: str, build: Callable = _exponent_matrix, noun: str = "an exponent matrix"):
-    """``build`` applied to the JSON in ``path``; bad data is a UsageError."""
+    """``build`` applied to the JSON in ``path``; bad data is a UsageError, and an
+    exponent matrix over ``MAX_INPUT_DIMENSION`` an UnsupportedDimensionError."""
     data = _load_json(path)
     try:
-        return build(data)
+        value = build(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{path}: not {noun} ({exc})") from exc
+    if isinstance(value, ExponentMatrix) and value.n > MAX_INPUT_DIMENSION:
+        raise UnsupportedDimensionError(
+            f"{path}: n = {value.n} is over the command line's limit of {MAX_INPUT_DIMENSION}"
+        )
+    return value
 
 
 def _bool(flag: bool) -> str:
@@ -147,7 +158,7 @@ def cmd_hull(ns: argparse.Namespace) -> int:
 
 def cmd_vertices(ns: argparse.Namespace) -> int:
     nu = _load(ns.input_path)
-    points = enumerate_lattice_points(polytope_of(nu))
+    points = enumerate_lattice_points(nu)
     print(json.dumps([list(p.m) for p in points]))
     print(f"{len(points)} lattice points", file=sys.stderr)
     return 0

@@ -4,10 +4,10 @@ A vertex of the standard apartment is an integer vector m, taken up to a
 common shift, and stands for the homothety class of the diagonal lattice
 with elementary divisor exponents m.  Its maximal order has exponent
 matrix ``m_i - m_j``; intersecting a family of maximal orders takes the
-entrywise maximum of their exponent matrices.  Conversely the maximal
-orders containing S(nu) are exactly the integer points of the difference
-region of ``nu``, and for reduced ``nu`` the two directions invert each
-other.
+entrywise maximum of their exponent matrices.  Conversely m contains
+S(nu) iff m_i - m_j <= nu[i][j] for all i, j, so the maximal orders
+containing S(nu) are the integer points of the region of ``nu``, listed by
+``enumerate_lattice_points``; for reduced ``nu`` the two directions invert.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from typing import Sequence
 from ._record import FrozenRecord
 from .errors import DimensionMismatchError, EmptyVertexListError
 from .exponent import ExponentMatrix, order_hull
-from .polytope import (
-    DEFAULT_POINT_LIMIT,
-    ApartmentVertex,
-    enumerate_lattice_points,
-    is_reduced,
-    polytope_of,
-)
+from .polytope import ApartmentVertex, enumerate_lattice_points, is_reduced
 
 
 def maximal_order_exponents(v: ApartmentVertex) -> ExponentMatrix:
@@ -73,17 +67,8 @@ def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
     return ExponentMatrix._trusted(tuple(map(tuple, rows)))
 
 
-def maximal_orders_containing(
-    nu: ExponentMatrix, *, max_points: int = DEFAULT_POINT_LIMIT
-) -> list[ApartmentVertex]:
-    """Vertices whose maximal orders contain S(nu).
-
-    These are exactly the integer points of the difference region of
-    ``nu``: the vertex m contains S(nu) iff m_i - m_j <= nu[i][j] for all
-    i, j.  Note the criterion is the system of difference bounds, not an
-    entrywise comparison of exponent matrices.
-    """
-    return enumerate_lattice_points(polytope_of(nu), max_points=max_points)
+# the maximal orders containing S(nu) are the integer points of the region of nu
+maximal_orders_containing = enumerate_lattice_points
 
 
 class RoundtripReport(FrozenRecord):

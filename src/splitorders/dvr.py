@@ -32,7 +32,7 @@ from .errors import (
     SingularConjugatorError,
     SingularInputError,
 )
-from .exponent import ExponentMatrix, _as_int, first_violation
+from .exponent import ExponentMatrix, _as_int, check_index_pair, first_violation
 
 INFINITE = math.inf  # valuation of zero
 
@@ -465,11 +465,10 @@ class LocalMatrix:
     def matrix_unit(
         cls, n: int, i: int, j: int, prime: int, exponent: int = 0
     ) -> "LocalMatrix":
-        """p^exponent times the matrix unit E(i, j); raises IndexError
-        unless 0 <= i, j < n."""
+        """p^exponent times the matrix unit E(i, j); raises TypeError and
+        IndexError as ``check_index_pair``."""
         p = check_prime(prime)
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"matrix unit ({i}, {j}) out of range for n = {n}")
+        check_index_pair(i, j, n, "matrix unit")
         rows = [[0] * n for _ in range(n)]
         if exponent >= 0:
             rows[i][j] = p**exponent

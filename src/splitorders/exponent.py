@@ -59,6 +59,15 @@ def int_tuple(values: Iterable) -> tuple[int, ...]:
     return tuple(map(_as_int, t))
 
 
+def check_index_pair(i, j, n: int, noun: str = "index pair") -> None:
+    """Raises TypeError unless i and j are ints (a bool is refused) and
+    IndexError unless both lie in 0..n-1; ``noun`` names the pair."""
+    if type(i) is bool or type(j) is bool or not (isinstance(i, int) and isinstance(j, int)):
+        raise TypeError(f"{noun} ({i!r}, {j!r}) is not a pair of integers")
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"{noun} ({i}, {j}) out of range for n = {n}")
+
+
 class ExponentMatrix:
     """Square integer matrix with zero diagonal.
 
@@ -97,6 +106,8 @@ class ExponentMatrix:
         return m
 
     def entry(self, i: int, j: int) -> int:
+        """Entry (i, j); raises TypeError and IndexError as ``check_index_pair``."""
+        check_index_pair(i, j, self.n, "entry")
         return self.entries[i][j]
 
     def __eq__(self, other: object) -> bool:

@@ -81,10 +81,8 @@ from .exponent import (
 from .polytope import (
     DEFAULT_POINT_LIMIT,
     enumerate_lattice_points,
-    is_empty,
     is_reduced,
     max_difference,
-    polytope_of,
 )
 
 _SEED_STRIDE = 1000003
@@ -630,17 +628,16 @@ def _reject_bad_diagonal(rng, config, t):
 
 def _max_difference_enumeration(rng, config, n):
     nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
-    P = polytope_of(nu)
-    if is_empty(P):
+    if not has_containing_maximal(nu):
         return None
-    points = enumerate_lattice_points(P)
+    points = enumerate_lattice_points(nu)
     if not points:
         return "nonempty region enumerated no points", {"input": nu.to_json_dict()}
     cols = list(zip(*(p.m for p in points)))
     for i in range(n):
         for j in range(n):
             brute = max(map(operator.sub, cols[i], cols[j]))
-            if max_difference(P, i, j) != brute:
+            if max_difference(nu, i, j) != brute:
                 return (
                     f"pair ({i}, {j}): path bound differs from point maximum",
                     {"input": nu.to_json_dict()},
@@ -694,7 +691,7 @@ def _hijikata_exhaustive(rng, config, t):
         note = "normal form accepted a non-order"
     else:
         level = hijikata_normal_form(nu)
-        points = enumerate_lattice_points(polytope_of(nu))
+        points = enumerate_lattice_points(nu)
         coords = [p.m[1] for p in points]
         endpoints = [ApartmentVertex([0, -a]), ApartmentVertex([0, b])]
         ok = (

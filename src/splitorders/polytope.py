@@ -1,86 +1,33 @@
-"""Difference-constraint regions attached to exponent matrices.
+"""Difference-constraint regions of exponent matrices.
 
-The region of an n x n exponent matrix ``nu`` lives in coordinates
-(x_0, ..., x_{n-1}) with x_0 pinned to 0 and consists of the points with
+An n x n exponent matrix ``nu`` is its own region, the points of the
+coordinates (x_0, ..., x_{n-1}) with x_0 pinned to 0 and
 
-    x_i - x_j <= nu[i][j]        for all i, j.
+    x_i - x_j <= nu[i][j]        for all i, j;
 
-Because the constraints against coordinate 0 read
-``-nu[0][i] <= x_i <= nu[i][0]``, the region is always bounded.  Its
-integer points are the vertices of the maximal orders containing S(nu),
-and the exact maxima of the coordinate differences over the region are
-minimal path sums in the arc-weighted digraph of ``nu``.
+so every function here takes ``nu``, and those that need its closure read
+the one kept on it.  The region is empty exactly when
+``has_containing_maximal(nu)`` is false, and bounded, as the constraints
+against coordinate 0 read
+``-nu[0][i] <= x_i <= nu[i][0]``.  Its integer points are the vertices of
+the maximal orders containing S(nu), and the exact maxima of the
+coordinate differences over it are minimal path sums in the arc-weighted
+digraph of ``nu``.
 """
 
 from __future__ import annotations
 
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyPolytopeError, EnumerationLimitError
-from .exponent import ExponentMatrix, _cached_closure, int_tuple
+from .exponent import ExponentMatrix, _cached_closure, check_index_pair, int_tuple
 
 # Re-exported under its old import path (perfbench/test_referees.py checks that
 # the tracer rebinds it here); nothing in this module calls it.
 from .exponent import minplus_closure
 
 DEFAULT_POINT_LIMIT = 10**6
-
-
-class DifferencePolytope:
-    """Region cut out by the two-sided difference bounds of an exponent matrix.
-
-    ``nu`` is that matrix, and ``n`` and ``upper`` read its size and
-    entries; the region reads the min-plus closure kept on ``nu``.
-    Equality, hashing and repr compare the bounds only.
-    """
-
-    __slots__ = ("nu",)
-
-    def __init__(self, upper: Sequence[Sequence[int]]):
-        self.nu = ExponentMatrix(upper)
-
-    @property
-    def n(self) -> int:
-        return self.nu.n
-
-    @property
-    def upper(self) -> tuple[tuple[int, ...], ...]:
-        return self.nu.entries
-
-    def difference_range(self, i: int, j: int) -> tuple[int, int]:
-        """Declared two-sided bound (lo, hi) with lo <= x_i - x_j <= hi."""
-        return (-self.upper[j][i], self.upper[i][j])
-
-    def contains(self, coords: Iterable[int]) -> bool:
-        """Whether an integer point satisfies every declared constraint.
-
-        Coordinates are read as by ``int_tuple``: a bool or a non-integral
-        value raises instead of being coerced.
-        """
-        x = int_tuple(coords)
-        if len(x) != self.n or x[0] != 0:
-            return False
-        u = self.upper
-        for i in range(self.n):
-            xi = x[i]
-            ui = u[i]
-            for j in range(self.n):
-                if xi - x[j] > ui[j]:
-                    return False
-        return True
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DifferencePolytope):
-            return NotImplemented
-        return self.upper == other.upper
-
-    def __hash__(self) -> int:
-        return hash(self.upper)
-
-    def __repr__(self) -> str:
-        rows = ", ".join(repr(list(row)) for row in self.upper)
-        return f"DifferencePolytope([{rows}])"
 
 
 class ApartmentVertex:
@@ -120,51 +67,53 @@ class ApartmentVertex:
     def __hash__(self) -> int:
         return hash(self.m)
 
-    def __lt__(self, other: "ApartmentVertex") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, ApartmentVertex):
+            return NotImplemented
         return self.m < other.m
 
     def __repr__(self) -> str:
         return f"ApartmentVertex({list(self.m)})"
 
 
-def polytope_of(nu: ExponentMatrix) -> DifferencePolytope:
-    """Difference region of an exponent matrix (entries become the upper bounds).
+def difference_range(nu: ExponentMatrix, i: int, j: int) -> tuple[int, int]:
+    """Declared two-sided bound (lo, hi) with lo <= x_i - x_j <= hi in the
+    region of ``nu``; raises TypeError and IndexError as ``check_index_pair``."""
+    check_index_pair(i, j, nu.n, "coordinate pair")
+    u = nu.entries
+    return (-u[j][i], u[i][j])
 
-    The region keeps ``nu`` itself, so the two share one cached closure.
+
+def contains(nu: ExponentMatrix, coords: Iterable[int]) -> bool:
+    """Whether an integer point satisfies every declared constraint of ``nu``.
+
+    Coordinates are read as by ``int_tuple``: a bool or a non-integral
+    value raises instead of being coerced.
     """
-    P = object.__new__(DifferencePolytope)
-    P.nu = nu
-    return P
+    x = int_tuple(coords)
+    if len(x) != nu.n or x[0] != 0:
+        return False
+    return all(xi - xj <= uij for xi, ui in zip(x, nu.entries) for xj, uij in zip(x, ui))
 
 
-def is_empty(P: DifferencePolytope) -> bool:
-    """Whether the region has no point; detected by a negative cycle of bounds."""
-    return not _cached_closure(P.nu)
-
-
-def max_difference(P: DifferencePolytope, i: int, j: int) -> int:
-    """Exact maximum of x_i - x_j over the region.
+def max_difference(nu: ExponentMatrix, i: int, j: int) -> int:
+    """Exact maximum of x_i - x_j over the region of ``nu``.
 
     This is the minimal path sum from i to j in the digraph of bounds,
     which the region attains.  Raises EmptyPolytopeError when the region
-    is empty, IndexError on out-of-range coordinates and TypeError on
-    bool ones.
+    is empty, and TypeError and IndexError as ``check_index_pair``.
     """
-    n = P.n
-    if type(i) is bool or type(j) is bool:
-        raise TypeError(f"coordinate pair ({i!r}, {j!r}) is not a pair of integers")
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"coordinate pair ({i}, {j}) out of range for n = {n}")
-    closed = _cached_closure(P.nu)
+    check_index_pair(i, j, nu.n, "coordinate pair")
+    closed = _cached_closure(nu)
     if not closed:
         raise EmptyPolytopeError("region is empty; differences have no maximum")
     return closed[i][j]
 
 
 def enumerate_lattice_points(
-    P: DifferencePolytope, *, max_points: int = DEFAULT_POINT_LIMIT
+    nu: ExponentMatrix, *, max_points: int = DEFAULT_POINT_LIMIT
 ) -> list[ApartmentVertex]:
-    """All integer points of the region, in lexicographic coordinate order.
+    """All integer points of the region of ``nu``, in lexicographic coordinate order.
 
     Scans the bounding box ``-upper[0][i] <= x_i <= upper[i][0]`` one
     coordinate at a time, level by level: each range is narrowed against
@@ -172,9 +121,11 @@ def enumerate_lattice_points(
     early.  Returns the empty list exactly when the region is empty.
 
     Raises EnumerationLimitError when the bounding box holds more than
-    ``max_points`` cells.
+    ``max_points`` cells, and TypeError when ``max_points`` is a bool or
+    not an int.
     """
-    nu = P.nu
+    if type(max_points) is bool or not isinstance(max_points, int):
+        raise TypeError(f"max_points {max_points!r} is not an integer")
     n = nu.n
     u = nu.entries
     if not _cached_closure(nu):

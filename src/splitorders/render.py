@@ -14,7 +14,7 @@ import math
 
 from .errors import UnsupportedDimensionError
 from .exponent import ExponentMatrix, _cached_closure
-from .polytope import enumerate_lattice_points, polytope_of
+from .polytope import enumerate_lattice_points
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -63,7 +63,7 @@ def render_polytope_svg(
 
     u = nu.entries
     closed = _cached_closure(nu)
-    points = enumerate_lattice_points(polytope_of(nu))
+    points = enumerate_lattice_points(nu)
 
     # window in apartment coordinates, from the box against coordinate 0
     x2_lo, x2_hi = min(-u[0][1], u[1][0]) - margin, max(-u[0][1], u[1][0]) + margin

@@ -48,9 +48,9 @@ from splitorders.fuzz import (
     random_vertex,
 )
 from splitorders.polytope import (
+    difference_range,
     enumerate_lattice_points,
     is_reduced,
-    polytope_of,
 )
 
 from conftest import record_criterion
@@ -83,13 +83,12 @@ def test_criterion_1_worked_example_check(tmp_path, capsys):
 
 def test_criterion_2_polytope_match():
     """Eq-(1) bounds, identical point sets, five named vertices."""
-    P = polytope_of(NU)
-    assert P.difference_range(1, 0) == (0, 3)
-    assert P.difference_range(2, 0) == (-1, 3)
-    assert P.difference_range(2, 1) == (-1, 2)
+    assert difference_range(NU, 1, 0) == (0, 3)
+    assert difference_range(NU, 2, 0) == (-1, 3)
+    assert difference_range(NU, 2, 1) == (-1, 2)
 
-    ours = [p.m for p in enumerate_lattice_points(P)]
-    theirs = [p.m for p in enumerate_lattice_points(polytope_of(NU_PRIME))]
+    ours = [p.m for p in enumerate_lattice_points(NU)]
+    theirs = [p.m for p in enumerate_lattice_points(NU_PRIME)]
     assert ours == theirs
     assert len(ours) == 13
     named = [(0, 0, -1), (0, 3, 2), (0, 3, 3), (0, 1, 3), (0, 0, 2)]
@@ -200,7 +199,7 @@ def test_criterion_7_hijikata_specialization():
             assert is_order(nu)
             level = hijikata_normal_form(nu)
             assert level == a + b
-            points = [p.m for p in enumerate_lattice_points(polytope_of(nu))]
+            points = [p.m for p in enumerate_lattice_points(nu)]
             assert points == [(0, x) for x in range(-a, b + 1)]
             assert len(points) == level + 1
             endpoints = [ApartmentVertex([0, -a]), ApartmentVertex([0, b])]

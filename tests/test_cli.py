@@ -156,6 +156,35 @@ def test_domain_failures_exit_one_with_one_error_line(
     assert not (tmp_path / "x.svg").exists()
 
 
+def _zero_matrix_file(tmp_path, n):
+    path = tmp_path / f"zero{n}.json"
+    path.write_text(json.dumps([[0] * n for _ in range(n)]))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "hull", "vertices", "roundtrip"])
+def test_a_matrix_over_the_dimension_limit_exits_one_before_any_closure(
+    tmp_path, monkeypatch, capsys, command
+):
+    """An O(n^3) closure at n = 600 took 13.5 s; n over 256 is refused on loading."""
+    from splitorders import exponent
+
+    closures = []
+    monkeypatch.setattr(exponent, "minplus_closure", lambda rows: closures.append(rows))
+    path = _zero_matrix_file(tmp_path, 257)
+    assert main([command, path]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}: n = 257 is over the command line's limit of 256\n"
+    )
+    assert closures == []
+
+
+def test_the_dimension_limit_admits_n_256(tmp_path, capsys):
+    path = _zero_matrix_file(tmp_path, 256)
+    assert main(["hijikata", path]) == 1
+    assert capsys.readouterr() == ("", "error: normal form needs n = 2, got n = 256\n")
+
+
 def test_vertices(nu_file, capsys):
     assert main(["vertices", nu_file]) == 0
     captured = capsys.readouterr()

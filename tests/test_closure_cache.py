@@ -1,8 +1,8 @@
 """The min-plus closure kept on exponent matrices.
 
 Each ``ExponentMatrix`` computes its closure at most once, on first use,
-and keeps it in ``_closure``; a ``DifferencePolytope`` reads the closure
-of its matrix ``P.nu`` and keeps none of its own.  These tests pin
+and keeps it in ``_closure``; a region is its exponent matrix, so the
+region functions of ``polytope`` read that same slot.  These tests pin
 that the kept copy is invisible to equality, hashing, repr and copying,
 that nothing outside can change it, that the unchecked producers leave a
 correct one, that each command computes one closure, and that a wrong
@@ -36,14 +36,7 @@ from splitorders.exponent import (
     order_hull,
 )
 from splitorders.fuzz import CHECKS, FuzzConfig, random_exponent_matrix
-from splitorders.polytope import (
-    DifferencePolytope,
-    enumerate_lattice_points,
-    is_empty,
-    is_reduced,
-    max_difference,
-    polytope_of,
-)
+from splitorders.polytope import contains, enumerate_lattice_points, is_reduced, max_difference
 
 from _oracles import brute_max_difference, naive_box_points, simple_path_closure
 
@@ -93,32 +86,24 @@ def test_every_reader_shares_one_closure(closure_calls):
     assert has_containing_maximal(nu)
     hull = order_hull(nu)
     assert not is_reduced(nu) and is_reduced(hull)
-    P = polytope_of(nu)
-    assert not is_empty(P)
-    assert [max_difference(P, i, j) for i in range(3) for j in range(3)] == [
+    assert [max_difference(nu, i, j) for i in range(3) for j in range(3)] == [
         x for row in hull.entries for x in row
     ]
-    assert len(enumerate_lattice_points(P)) == 13
+    assert len(enumerate_lattice_points(nu)) == 13
     assert len(closure_calls) == 1
-    # the hull is its own closure, and its polytope shares it
-    assert is_reduced(hull) and len(enumerate_lattice_points(polytope_of(hull))) == 13
+    # the hull is its own closure, and its region reads it
+    assert is_reduced(hull) and len(enumerate_lattice_points(hull)) == 13
     assert len(closure_calls) == 1
 
 
 def test_a_polytope_fills_the_slot_of_its_matrix(closure_calls):
     nu = ExponentMatrix([[0, 1, 4], [2, 0, 1], [0, 3, 0]])
-    P = polytope_of(nu)
-    assert P.nu is nu and P.upper is nu.entries and nu._closure is None
-    points = enumerate_lattice_points(P)
+    assert nu._closure is None
+    points = enumerate_lattice_points(nu)
     assert nu._closure == _fresh(nu)
     assert is_reduced(nu) == (nu._closure == nu.entries)
     assert [p.m for p in points] == naive_box_points(nu.entries)
     assert len(closure_calls) == 1
-    # a region built from bounds gets its own matrix, with its own slot
-    Q = DifferencePolytope(nu.entries)
-    assert Q.nu == nu and Q.nu is not nu and Q.nu._closure is None
-    assert not is_empty(Q) and Q.nu._closure == nu._closure
-    assert len(closure_calls) == 2
 
 
 def test_negative_cycle_is_kept_once(closure_calls):
@@ -126,10 +111,9 @@ def test_negative_cycle_is_kept_once(closure_calls):
     assert not has_containing_maximal(nu)
     assert nu._closure == ()
     assert not is_reduced(nu)
-    P = polytope_of(nu)
-    assert is_empty(P) and enumerate_lattice_points(P) == []
+    assert enumerate_lattice_points(nu) == []
     with pytest.raises(EmptyPolytopeError):
-        max_difference(P, 0, 1)
+        max_difference(nu, 0, 1)
     assert len(closure_calls) == 1
 
 
@@ -171,10 +155,6 @@ def test_equality_hash_and_repr_ignore_the_slot():
     assert filled._closure and empty._closure is None
     assert filled == empty and hash(filled) == hash(empty)
     assert repr(filled) == repr(empty) == "ExponentMatrix([[0, 1, 4], [2, 0, 1], [0, 3, 0]])"
-    P, Q = DifferencePolytope(rows), polytope_of(filled)
-    assert not is_empty(Q)
-    assert P.nu._closure is None and Q.nu._closure
-    assert P == Q and hash(P) == hash(Q) and repr(P) == repr(Q)
 
 
 def _filled_objects():
@@ -182,21 +162,16 @@ def _filled_objects():
     has_containing_maximal(feasible)
     infeasible = ExponentMatrix([[0, -2], [1, 0]])
     has_containing_maximal(infeasible)
-    region = DifferencePolytope([[0, 1, 4], [2, 0, 1], [0, 3, 0]])
-    is_empty(region)
-    shared = polytope_of(ExponentMatrix([[0, 1], [1, 0]]))
-    enumerate_lattice_points(shared)
     hull = order_hull(ExponentMatrix([[0, 5, 1], [0, 0, 0], [0, 1, 0]]))
-    return [feasible, infeasible, region, shared, hull]
+    return [feasible, infeasible, hull]
 
 
-@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("index", range(3))
 def test_copies_keep_an_equal_closure(index):
     obj = _filled_objects()[index]
-    matrix = obj.nu if isinstance(obj, DifferencePolytope) else obj
-    closed = matrix._closure
+    closed = obj._closure
     assert type(closed) is tuple
-    assert closed == _fresh(ExponentMatrix(matrix.entries))
+    assert closed == _fresh(ExponentMatrix(obj.entries))
     for clone in (
         pickle.loads(pickle.dumps(obj)),
         pickle.loads(pickle.dumps(obj, protocol=2)),
@@ -205,18 +180,7 @@ def test_copies_keep_an_equal_closure(index):
     ):
         assert type(clone) is type(obj)
         assert clone == obj and hash(clone) == hash(obj) and repr(clone) == repr(obj)
-        clone_matrix = clone.nu if isinstance(clone, DifferencePolytope) else clone
-        assert clone_matrix._closure == closed
-
-
-def test_a_copied_polytope_fills_its_copied_matrix():
-    nu = ExponentMatrix([[0, 1, 4], [2, 0, 1], [0, 3, 0]])
-    P = polytope_of(nu)
-    clone = pickle.loads(pickle.dumps(P))
-    assert clone.nu == nu and clone.nu is not nu and clone.nu._closure is None
-    assert not is_empty(clone)
-    assert clone.nu._closure == _fresh(nu)
-    assert nu._closure is None and P.nu is nu
+        assert clone._closure == closed
 
 
 def test_mutating_a_returned_closure_leaves_the_slot_alone(monkeypatch):
@@ -230,12 +194,11 @@ def test_mutating_a_returned_closure_leaves_the_slot_alone(monkeypatch):
 
     monkeypatch.setattr(exponent, "minplus_closure", keep)
     nu = ExponentMatrix([[0, 0, 2], [3, 0, 1], [3, 2, 0]])
-    P = polytope_of(nu)
-    assert max_difference(P, 0, 2) == 1
+    assert max_difference(nu, 0, 2) == 1
     (returned,) = handed_out
     returned[0][2] = 99
     returned[1] = [7, 7, 7]
-    assert max_difference(P, 0, 2) == 1
+    assert max_difference(nu, 0, 2) == 1
     assert nu._closure == ((0, 0, 1), (3, 0, 1), (3, 2, 0))
     # the public function always hands out a fresh list
     public = minplus_closure(nu.entries)
@@ -278,7 +241,6 @@ def test_only_exponent_computes_or_keeps_a_closure():
     the package ``__init__`` and ``polytope`` only import ``minplus_closure``
     to re-export it."""
     assert list(inspect.signature(exponent._cached_closure).parameters) == ["nu"]
-    assert "_closure" not in DifferencePolytope.__slots__
     for path in sorted(Path(exponent.__file__).parent.glob("*.py")):
         if path.stem == "exponent":
             continue
@@ -320,8 +282,7 @@ def _assert_tropical_generators(nu):
     c = minplus_closure(nu.entries)
     n = nu.n
     columns = [[c[k][j] - c[0][j] for k in range(n)] for j in range(n)]
-    region = DifferencePolytope(nu.entries)
-    assert all(region.contains(x) for x in columns)
+    assert all(contains(nu, x) for x in columns)
     assert intersect_maximal([ApartmentVertex(x) for x in columns]) == order_hull(nu)
 
 
@@ -353,11 +314,10 @@ def _assert_readers_match_oracles(nu):
         return
     assert [list(row) for row in order_hull(nu).entries] == expected
     assert is_reduced(nu) == is_order(nu)
-    P = polytope_of(nu)
     points = naive_box_points(nu.entries)
     for i in range(nu.n):
         for j in range(nu.n):
-            assert max_difference(P, i, j) == brute_max_difference(points, i, j)
+            assert max_difference(nu, i, j) == brute_max_difference(points, i, j)
 
 
 def test_closure_readers_match_the_oracles():

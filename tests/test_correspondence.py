@@ -17,7 +17,7 @@ from splitorders.errors import (
     NegativeCycleError,
 )
 from splitorders.exponent import ExponentMatrix, is_order, order_hull
-from splitorders.polytope import enumerate_lattice_points, is_reduced, polytope_of
+from splitorders.polytope import enumerate_lattice_points, is_reduced
 
 from _oracles import entrywise_max
 
@@ -87,7 +87,7 @@ def test_intersection_input_validation():
 
 
 def test_containing_maximal_orders_are_the_lattice_points():
-    points = enumerate_lattice_points(polytope_of(NU))
+    points = enumerate_lattice_points(NU)
     vertices = maximal_orders_containing(NU)
     assert [v.m for v in vertices] == [p.m for p in points]
     assert len(vertices) == 13
@@ -113,7 +113,7 @@ def test_lattice_points_intersect_back_to_reduced_matrices():
 def _assert_points_are_the_vertices(nu):
     """The paper's identity, on the enumerated points as they come."""
     assert splitorders.correspondence.ApartmentVertex is splitorders.polytope.ApartmentVertex
-    points = enumerate_lattice_points(polytope_of(nu))
+    points = enumerate_lattice_points(nu)
     assert intersect_maximal(points) == nu
     assert maximal_orders_containing(nu) == points
     for p in points:

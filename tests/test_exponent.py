@@ -152,6 +152,17 @@ def test_equality_and_hash():
     assert a != [[0, 1], [2, 0]]
 
 
+@pytest.mark.parametrize(
+    "i, j, error", [(-1, 0, IndexError), (0, 3, IndexError), (True, 0, TypeError), (0, 1.0, TypeError)]
+)
+def test_entry_refuses_bad_indices(i, j, error):
+    """entry(-1, 0) used to wrap around to 5 on [[0, 1, 2], [3, 0, 4], [5, 6, 0]]."""
+    nu = ExponentMatrix([[0, 1, 2], [3, 0, 4], [5, 6, 0]])
+    assert nu.entry(2, 0) == 5
+    with pytest.raises(error):
+        nu.entry(i, j)
+
+
 def _random(rng, n, lo=-3, hi=5):
     return ExponentMatrix(
         [[rng.randint(lo, hi) if i != j else 0 for j in range(n)] for i in range(n)]

@@ -95,11 +95,11 @@ def reduced_when_entry_is_five(mp):
 
 def max_difference_off_by_one(mp):
     real = polytope.max_difference
-    mp.setattr(fuzz, "max_difference", lambda P, i, j: real(P, i, j) + ((i, j) == (1, 0)))
+    mp.setattr(fuzz, "max_difference", lambda nu, i, j: real(nu, i, j) + ((i, j) == (1, 0)))
 
 
 def enumerate_nothing(mp):
-    mp.setattr(fuzz, "enumerate_lattice_points", lambda P: [])
+    mp.setattr(fuzz, "enumerate_lattice_points", lambda nu: [])
 
 
 def _intersection_off_by_one(real):

@@ -34,12 +34,7 @@ from splitorders.errors import (
 from splitorders.exponent import ExponentMatrix, has_containing_maximal, order_hull
 import splitorders.fuzz as fuzz
 from splitorders.fuzz import random_change_of_basis, random_unit_matrix
-from splitorders.polytope import (
-    DifferencePolytope,
-    enumerate_lattice_points,
-    is_reduced,
-    polytope_of,
-)
+from splitorders.polytope import enumerate_lattice_points, is_reduced
 
 from _oracles import entrywise_max, naive_box_points, plain_random_unit_matrix
 
@@ -64,7 +59,7 @@ def _matrices(seed, count_per_n, lo, hi):
 
 
 def _assert_enumeration_matches(nu):
-    points = enumerate_lattice_points(polytope_of(nu))
+    points = enumerate_lattice_points(nu)
     expected = naive_box_points(nu.entries)
     assert [p.m for p in points] == expected
     assert [v.m for v in maximal_orders_containing(nu)] == expected
@@ -127,22 +122,22 @@ def test_enumeration_on_degenerate_regions(entries):
 def test_enumeration_of_empty_regions_is_empty(entries):
     nu = ExponentMatrix(entries)
     assert not has_containing_maximal(nu)
-    assert enumerate_lattice_points(polytope_of(nu), max_points=1) == []
+    assert enumerate_lattice_points(nu, max_points=1) == []
     assert maximal_orders_containing(nu, max_points=1) == []
 
 
 def test_enumeration_box_limit():
-    P = DifferencePolytope([[0, 3], [4, 0]])  # box of 8 cells
-    assert len(enumerate_lattice_points(P, max_points=8)) == 8
+    box = ExponentMatrix([[0, 3], [4, 0]])  # box of 8 cells
+    assert len(enumerate_lattice_points(box, max_points=8)) == 8
     with pytest.raises(EnumerationLimitError):
-        enumerate_lattice_points(P, max_points=7)
+        enumerate_lattice_points(box, max_points=7)
     # the limit counts the declared box, not the box of the closed bounds
     nu = ExponentMatrix([[0, 9, 0], [9, 0, 0], [0, 0, 0]])  # 19 x 1 box, 1 point
-    assert [p.m for p in enumerate_lattice_points(polytope_of(nu), max_points=19)] == [
+    assert [p.m for p in enumerate_lattice_points(nu, max_points=19)] == [
         (0, 0, 0)
     ]
     with pytest.raises(EnumerationLimitError):
-        enumerate_lattice_points(polytope_of(nu), max_points=18)
+        enumerate_lattice_points(nu, max_points=18)
     with pytest.raises(EnumerationLimitError):
         maximal_orders_containing(nu, max_points=18)
 
@@ -251,7 +246,7 @@ def test_intersection_errors():
 
 def test_enumerated_points_equal_validated_points():
     nu = ExponentMatrix([[0, 0, 1, 2], [3, 0, 1, 2], [3, 2, 0, 1], [2, 2, 2, 0]])
-    points = enumerate_lattice_points(polytope_of(nu))
+    points = enumerate_lattice_points(nu)
     vertices = maximal_orders_containing(nu)
     assert len(points) == len(vertices) > 10
     for p, v in zip(points, vertices):
@@ -310,6 +305,9 @@ def test_integer_builders_validate():
         LocalMatrix.matrix_unit(2, 0, 1, 9, exponent=-1)
     with pytest.raises(IndexError):
         LocalMatrix.matrix_unit(2, 2, 0, 2)
+    # a bool index used to read as 0 or 1: (True, 0) gave E(1, 0)
+    with pytest.raises(TypeError):
+        LocalMatrix.matrix_unit(2, True, 0, 2)
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (-2, -2), (0, 2), (3, 1)])
@@ -568,8 +566,6 @@ def test_constructors_reject_non_integer_entries(bad):
     with pytest.raises((TypeError, ValueError)):
         ExponentMatrix([[0, bad], [1, 0]])
     with pytest.raises((TypeError, ValueError)):
-        DifferencePolytope([[0, bad], [1, 0]])
-    with pytest.raises((TypeError, ValueError)):
         ApartmentVertex([0, bad])
 
 
@@ -577,5 +573,4 @@ def test_constructors_accept_integral_floats():
     nu = ExponentMatrix([[0, 2.0], [-1.0, 0]])
     assert nu.entries == ((0, 2), (-1, 0))
     assert all(type(x) is int for row in nu.entries for x in row)
-    assert DifferencePolytope([[0.0, 2], [1, 0]]).upper == ((0, 2), (1, 0))
     assert ApartmentVertex([1.0, 3]).m == (0, 2)

@@ -15,9 +15,9 @@ import random
 import pytest
 
 from splitorders.correspondence import ApartmentVertex, intersect_maximal
-from splitorders.exponent import minplus_closure
+from splitorders.exponent import ExponentMatrix, minplus_closure
 from splitorders.fuzz import box_scan_points
-from splitorders.polytope import DifferencePolytope, enumerate_lattice_points
+from splitorders.polytope import enumerate_lattice_points
 
 from _oracles import entrywise_max, loop_minplus_closure, simple_path_closure
 
@@ -107,8 +107,7 @@ def test_enumeration_matches_the_box_scan_in_order(n):
     nonempty = unreduced = 0
     for _ in range(trials):
         upper = _square(rng, n, lo=lo, hi=3 if n < 5 else 2)
-        P = DifferencePolytope(upper)
-        points = [v.m for v in enumerate_lattice_points(P)]
+        points = [v.m for v in enumerate_lattice_points(ExponentMatrix(upper))]
         assert points == box_scan_points(upper)
         nonempty += bool(points)
         unreduced += minplus_closure(upper) not in (None, upper)

@@ -4,7 +4,7 @@ import pytest
 
 from splitorders.errors import UnsupportedDimensionError
 from splitorders.exponent import ExponentMatrix
-from splitorders.polytope import enumerate_lattice_points, polytope_of
+from splitorders.polytope import contains, enumerate_lattice_points
 from splitorders.render import apartment_to_plane, render_polytope_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -45,16 +45,15 @@ def test_worked_example_draws_thirteen_dots():
     root = _root(render_polytope_svg(NU))
     dots = _region_dots(root)
     assert len(dots) == 13
-    expected = {f"pt_{p.m[1]}_{p.m[2]}" for p in enumerate_lattice_points(polytope_of(NU))}
+    expected = {f"pt_{p.m[1]}_{p.m[2]}" for p in enumerate_lattice_points(NU)}
     assert {d.get("id") for d in dots} == expected
 
 
 def test_every_dot_lies_in_the_region():
     root = _root(render_polytope_svg(NU_PRIME))
-    P = polytope_of(NU_PRIME)
     for dot in _region_dots(root):
         _, x2, x3 = dot.get("id").split("_")
-        assert P.contains((0, int(x2), int(x3)))
+        assert contains(NU_PRIME, (0, int(x2), int(x3)))
 
 
 def test_six_walls_all_supporting_for_the_example():
