@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .correspondence import ApartmentVertex, intersect_maximal
 from .dvr import (
     LocalMatrix,
+    _int_valuation,
     _mul_rows,
     _triple_product,
     _valuation_test,
@@ -77,9 +78,15 @@ class Apartment:
 
 
 class GeneralSplitOrder:
-    """Conjugate gamma S(nu) gamma^(-1) of a reduced standard split order."""
+    """Conjugate gamma S(nu) gamma^(-1) of a reduced standard split order.
 
-    __slots__ = ("apartment", "nu")
+    ``general_membership`` keeps its compiled valuation tests in
+    ``_tests``, one per valuation of the pull-back denominator it has
+    met, built on first use; ``apartment`` and ``nu`` are not meant to
+    change after construction.
+    """
+
+    __slots__ = ("apartment", "nu", "_tests")
 
     def __init__(self, apartment: Apartment, nu: ExponentMatrix):
         if apartment.n != nu.n:
@@ -90,6 +97,7 @@ class GeneralSplitOrder:
             raise NotAnOrderError("exponent matrix must be reduced")
         self.apartment = apartment
         self.nu = nu
+        self._tests = {}
 
     @property
     def n(self) -> int:
@@ -141,16 +149,23 @@ def general_membership(S: GeneralSplitOrder, A: LocalMatrix) -> bool:
 
     The pull-back gamma^(-1) A gamma is tested as the integer triple
     product over the product of the three denominators, without reducing
-    it to lowest terms first.
+    it to lowest terms first.  The test depends on that denominator only
+    through its valuation, so ``S`` keeps one compiled test per valuation
+    and builds its moduli once.
     """
-    if A.n != S.n:
-        raise DimensionMismatchError(f"matrix has n = {A.n} but order has n = {S.n}")
-    if A.prime != S.prime:
-        raise ValueError(f"prime mismatch: {A.prime} vs {S.prime}")
+    nu = S.nu
+    if A.n != nu.n:
+        raise DimensionMismatchError(f"matrix has n = {A.n} but order has n = {nu.n}")
     ap = S.apartment
     left, right = ap._gamma_inv, ap.gamma
-    rows = _mul_rows(_mul_rows(left.nums, A.nums), right.nums)
-    return _valuation_test(S.nu.entries, left.den * A.den * right.den, A.prime)(rows)
+    p = A.prime
+    if p != right.prime:
+        raise ValueError(f"prime mismatch: {p} vs {right.prime}")
+    vden = _int_valuation(left.den * A.den * right.den, p)
+    within = S._tests.get(vden)
+    if within is None:
+        within = S._tests[vden] = _valuation_test(nu.entries, p**vden, p)
+    return within(_mul_rows(_mul_rows(left.nums, A.nums), right.nums))
 
 
 def intersect_in_apartment(

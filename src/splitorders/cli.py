@@ -9,8 +9,11 @@ pair.  Commands print results and raise; only ``main`` prints ``error:``.
 (2 max(--max, 0) + 1)^(--n - 1) cells, is over the enumeration guard.
 Other ``SplitOrderError``s exit 1: a negative cycle, a region over the
 guard, an empty or mixed vertex list, ``hijikata`` at n != 2, ``draw``
-at n != 3, and an exponent matrix with n over ``MAX_INPUT_DIMENSION``
-(256), refused on loading before any closure is computed.
+at n != 3, an exponent matrix with n over ``MAX_INPUT_DIMENSION``
+(256), refused on loading before any closure is computed, and an
+``intersect`` vertex list in which a vertex has more than
+``MAX_INPUT_DIMENSION`` coordinates, refused on loading before any
+intersection is computed.
 """
 
 from __future__ import annotations
@@ -115,15 +118,20 @@ def _exponent_matrix(data) -> ExponentMatrix:
 
 def _load(path: str, build: Callable = _exponent_matrix, noun: str = "an exponent matrix"):
     """``build`` applied to the JSON in ``path``; bad data is a UsageError, and an
-    exponent matrix over ``MAX_INPUT_DIMENSION`` an UnsupportedDimensionError."""
+    exponent matrix, or a vertex list with a vertex, over ``MAX_INPUT_DIMENSION``
+    an UnsupportedDimensionError."""
     data = _load_json(path)
     try:
         value = build(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{path}: not {noun} ({exc})") from exc
-    if isinstance(value, ExponentMatrix) and value.n > MAX_INPUT_DIMENSION:
+    if isinstance(value, ExponentMatrix):
+        n = value.n
+    else:
+        n = max((v.n for v in value), default=0)
+    if n > MAX_INPUT_DIMENSION:
         raise UnsupportedDimensionError(
-            f"{path}: n = {value.n} is over the command line's limit of {MAX_INPUT_DIMENSION}"
+            f"{path}: n = {n} is over the command line's limit of {MAX_INPUT_DIMENSION}"
         )
     return value
 

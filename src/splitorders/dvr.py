@@ -444,9 +444,13 @@ class LocalMatrix:
     @classmethod
     def diagonal(cls, values: Sequence[_RationalLike], prime: int) -> "LocalMatrix":
         n = len(values)
-        return cls(
-            [[values[i] if i == j else 0 for j in range(n)] for i in range(n)], prime
-        )
+        rows = [[0] * n for _ in range(n)]
+        for i, x in enumerate(values):
+            rows[i][i] = x
+        if n and all(type(x) is int for x in values):
+            # integer rows over 1 are already in lowest terms
+            return _lowest_terms(tuple(map(tuple, rows)), 1, check_prime(prime))
+        return cls(rows, prime)
 
     @classmethod
     def power_diagonal(cls, exponents: Sequence[int], prime: int) -> "LocalMatrix":
@@ -791,8 +795,17 @@ def hermite_normal_form(xi: LocalMatrix) -> tuple[HermiteForm, LocalMatrix]:
             w[j] = r
         rows[i] = w
     H = LocalMatrix._from_raw(rows, 1, p)
-    # the transform is unique: H xi^(-1)
-    return HermiteForm(H, exponents), H @ xi.inverse()
+    # the transform is unique: H xi^(-1).  At n <= 3 that is
+    # H adj(X) xi.den / det X for X = xi.nums, reduced to lowest terms once
+    # with the sign of det X moved into the numerators.
+    if n > 3:
+        return HermiteForm(H, exponents), H @ xi.inverse()
+    adj, d = _adjugate(xi.nums)
+    scale = xi.den if d > 0 else -xi.den
+    prod = _mul_rows(H.nums, adj)
+    if scale != 1:
+        prod = [tuple([scale * x for x in row]) for row in prod]
+    return HermiteForm(H, exponents), _lowest_terms(prod, abs(d), p)
 
 
 def diagonal_witness(form: HermiteForm) -> LocalMatrix:
@@ -802,18 +815,33 @@ def diagonal_witness(form: HermiteForm) -> LocalMatrix:
     diagonal torus: if the first nonzero entry above the diagonal sits at
     (i, j), the conjugate picks up (a_ij / p^{m_j})(d_j - d_i), which has
     negative valuation for d_i != d_j.  The diagonals are searched in
-    lexicographic order and the first witness is returned.
+    lexicographic order and the first witness is returned.  At n <= 3 the
+    conjugate is X D adj(X) / det X for X = xi.nums (the denominator of
+    xi cancels), so each D is tested on that integer product against
+    p^v(det X), and only the returned witness is built as a LocalMatrix.
 
     Raises AlreadyDiagonalError when no witness exists, which happens
-    exactly when the form is diagonal.
+    exactly when the form is diagonal, and SingularInputError when xi is
+    singular.
     """
     xi = form.matrix
-    n = xi.n
-    xi_inv = xi.inverse()
-    for bits in itertools.product((0, 1), repeat=n):
-        D = LocalMatrix.diagonal(bits, xi.prime)
-        if not _triple_product(xi, D, xi_inv).is_integral():
-            return D
+    n, p = xi.n, xi.prime
+    if n <= 3:
+        X = xi.nums
+        adj, d = _adjugate(X)
+        if d == 0:
+            raise SingularInputError("matrix is singular")
+        integral = _valuation_test([[0] * n] * n, abs(d), p)
+        for bits in itertools.product((0, 1), repeat=n):
+            XD = [tuple([x * b for x, b in zip(row, bits)]) for row in X]
+            if not integral(_mul_rows(XD, adj)):
+                return LocalMatrix.diagonal(bits, p)
+    else:
+        xi_inv = xi.inverse()
+        for bits in itertools.product((0, 1), repeat=n):
+            D = LocalMatrix.diagonal(bits, p)
+            if not _triple_product(xi, D, xi_inv).is_integral():
+                return D
     raise AlreadyDiagonalError(
         "every 0/1 diagonal conjugates integrally; the form is diagonal"
     )
@@ -822,35 +850,47 @@ def diagonal_witness(form: HermiteForm) -> LocalMatrix:
 def elementary_divisors(L: LocalMatrix, Lp: LocalMatrix) -> tuple[int, ...]:
     """Exponents of the elementary divisors of the lattice of Lp inside that of L.
 
-    Columns of each matrix are lattice basis vectors.  With M = L^(-1) Lp
-    = N / den, the k smallest exponents sum to the least valuation of the
-    k x k minors of N, less k v(den).  For n <= 3 that valuation is read
-    off the gcd of the minors: of the entries, of the adjugate's entries
-    (the (n - 1)-minors) and det.  Larger n reduce N to a diagonal by
-    fraction-free row and column operations, pivoting on the entry of
-    least valuation (ties broken by lowest row, then column, index).
-    Exponents are returned in nondecreasing order and may be negative
-    when the second lattice is not contained in the first.
+    Columns of each matrix are lattice basis vectors, and the exponents
+    are those of M = L^(-1) Lp: the k smallest sum to the least valuation
+    of the k x k minors of M.  For n <= 3, M is never built: it equals
+    N / D with N = adj(L.nums) Lp.nums and D = det(L.nums) Lp.den / L.den,
+    so exponent t is v(g_t) - v(g_(t-1)) - v(D), where g_t is the gcd of
+    the t x t minors of N: of the entries, of the adjugate's entries (the
+    (n - 1)-minors) and det N.  Larger n form M = L^(-1) Lp = N / den and
+    reduce N to a diagonal by fraction-free row and column operations,
+    pivoting on the entry of least valuation (ties broken by lowest row,
+    then column, index).  Exponents are returned in nondecreasing order
+    and may be negative when the second lattice is not contained in the
+    first.
 
     Raises SingularInputError when either basis is singular.
     """
     L._require_compatible(Lp)
     p = L.prime
-    M = L.inverse() @ Lp
-    n = M.n
+    n = L.n
     if n <= 3:
-        adj, d = _adjugate(M.nums)
+        adj_l, det_l = _adjugate(L.nums)
+        if det_l == 0:
+            raise SingularInputError("matrix is singular")
+        N = _mul_rows(adj_l, Lp.nums)
+        adj, d = _adjugate(N)
         chain = itertools.chain.from_iterable
         # gcds of the k x k minors of N for k = 1..n, or none when singular
-        gcds = (math.gcd(*chain(M.nums)), math.gcd(*chain(adj)), d)
+        gcds = (math.gcd(*chain(N)), math.gcd(*chain(adj)), d)
         minors = gcds[3 - n :] if d else ()
+        vden = (
+            _int_valuation(det_l, p)
+            + _int_valuation(Lp.den, p)
+            - _int_valuation(L.den, p)
+        )
     else:
+        M = L.inverse() @ Lp
         a = [list(row) for row in M.nums]
         # the t-th pivot of plain elimination on M is minor_(t+1) / (minor_t den)
         minors = _eliminate(a, _least_valuation(p, full=True))[0]
+        vden = _int_valuation(M.den, p)
     if len(minors) < n:
         raise SingularInputError("lattice basis is singular")
-    vden = _int_valuation(M.den, p)
     vals = [0] + [_int_valuation(m, p) for m in minors]
     return tuple(sorted(vals[t + 1] - vals[t] - vden for t in range(n)))
 

@@ -185,6 +185,32 @@ def test_the_dimension_limit_admits_n_256(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: normal form needs n = 2, got n = 256\n")
 
 
+def test_a_vertex_over_the_dimension_limit_exits_one_before_intersecting(
+    tmp_path, monkeypatch, capsys
+):
+    """A 300-coordinate vertex printed 440 KB; the intersection grows as n^2."""
+    from splitorders import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "intersect_maximal", lambda vertices: calls.append(vertices))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps([[0, 1], list(range(257))]))
+    assert main(["intersect", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}: n = 257 is over the command line's limit of 256\n"
+    )
+    assert calls == []
+
+
+def test_the_dimension_limit_admits_a_vertex_of_256_coordinates(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps([list(range(256))]))
+    assert main(["intersect", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 256
+    assert out["nu"][1][0] == 1 and out["nu"][0][255] == -255
+
+
 def test_vertices(nu_file, capsys):
     assert main(["vertices", nu_file]) == 0
     captured = capsys.readouterr()
