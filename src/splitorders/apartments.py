@@ -33,16 +33,19 @@ from .polytope import is_reduced
 
 
 class Apartment:
-    """Apartment named by an invertible change of basis from the standard frame."""
+    """Apartment named by an invertible change of basis from the standard frame.
 
-    __slots__ = ("gamma", "_gamma_inv")
+    ``gamma`` is read-only, so the inverse kept beside it cannot go stale.
+    """
+
+    __slots__ = ("_gamma", "_gamma_inv")
 
     def __init__(self, gamma: LocalMatrix):
         try:
             inv = gamma.inverse()
         except SingularInputError as exc:
             raise SingularConjugatorError("apartment frame is singular") from exc
-        self.gamma = gamma
+        self._gamma = gamma
         self._gamma_inv = inv
 
     @classmethod
@@ -50,23 +53,27 @@ class Apartment:
         return cls(LocalMatrix.identity(n, prime))
 
     @property
+    def gamma(self) -> LocalMatrix:
+        return self._gamma
+
+    @property
     def n(self) -> int:
-        return self.gamma.n
+        return self._gamma.n
 
     @property
     def prime(self) -> int:
-        return self.gamma.prime
+        return self._gamma.prime
 
     def is_standard(self) -> bool:
         return self.gamma == LocalMatrix.identity(self.n, self.prime)
 
     def to_standard(self, A: LocalMatrix) -> LocalMatrix:
         """Pull A back to the standard frame: gamma^(-1) A gamma."""
-        return _triple_product(self._gamma_inv, A, self.gamma)
+        return _triple_product(self._gamma_inv, A, self._gamma)
 
     def from_standard(self, A: LocalMatrix) -> LocalMatrix:
         """Push A out of the standard frame: gamma A gamma^(-1)."""
-        return _triple_product(self.gamma, A, self._gamma_inv)
+        return _triple_product(self._gamma, A, self._gamma_inv)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Apartment):
@@ -82,11 +89,11 @@ class GeneralSplitOrder:
 
     ``general_membership`` keeps its compiled valuation tests in
     ``_tests``, one per valuation of the pull-back denominator it has
-    met, built on first use; ``apartment`` and ``nu`` are not meant to
-    change after construction.
+    met, built on first use; ``apartment`` and ``nu`` are read-only, so
+    the tests cannot go stale.
     """
 
-    __slots__ = ("apartment", "nu", "_tests")
+    __slots__ = ("_apartment", "_nu", "_tests")
 
     def __init__(self, apartment: Apartment, nu: ExponentMatrix):
         if apartment.n != nu.n:
@@ -95,17 +102,25 @@ class GeneralSplitOrder:
             )
         if not is_reduced(nu):
             raise NotAnOrderError("exponent matrix must be reduced")
-        self.apartment = apartment
-        self.nu = nu
+        self._apartment = apartment
+        self._nu = nu
         self._tests = {}
 
     @property
+    def apartment(self) -> Apartment:
+        return self._apartment
+
+    @property
+    def nu(self) -> ExponentMatrix:
+        return self._nu
+
+    @property
     def n(self) -> int:
-        return self.nu.n
+        return self._nu.n
 
     @property
     def prime(self) -> int:
-        return self.apartment.prime
+        return self._apartment.prime
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneralSplitOrder):
@@ -153,11 +168,11 @@ def general_membership(S: GeneralSplitOrder, A: LocalMatrix) -> bool:
     through its valuation, so ``S`` keeps one compiled test per valuation
     and builds its moduli once.
     """
-    nu = S.nu
+    nu = S._nu
     if A.n != nu.n:
         raise DimensionMismatchError(f"matrix has n = {A.n} but order has n = {nu.n}")
-    ap = S.apartment
-    left, right = ap._gamma_inv, ap.gamma
+    ap = S._apartment
+    left, right = ap._gamma_inv, ap._gamma
     p = A.prime
     if p != right.prime:
         raise ValueError(f"prime mismatch: {p} vs {right.prime}")

@@ -337,12 +337,16 @@ def _mul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
     return _mul_rows_general(a, b)
 
 
-def _adjugate(a: Sequence[Sequence[int]]) -> tuple[list, int]:
-    """(adj a, det a) of an integer matrix of size 1, 2 or 3, by cofactors.
+def _adjugate(a: Sequence[Sequence[int]]) -> tuple[Optional[list], int]:
+    """(adj a, det a) of a square integer matrix; (None, 0) when a is singular
+    at n >= 4.
 
-    Row i of the adjugate holds the cofactors of column i of ``a``, so the
-    determinant is the first row of ``a`` times the first column of the
-    adjugate.
+    n <= 3 take the cofactor formulas: row i of the adjugate holds the
+    cofactors of column i of ``a``, so the determinant is the first row
+    of ``a`` times the first column of the adjugate.  Larger n run
+    fraction-free Gauss-Jordan on [a | I] (Bareiss, Math. Comp. 22,
+    1968), which ends at [d I | d a^(-1)] with d = sign * det a, so the
+    adjugate is sign times the right block.
     """
     n = len(a)
     if n == 3:
@@ -361,7 +365,11 @@ def _adjugate(a: Sequence[Sequence[int]]) -> tuple[list, int]:
         return [(a11, -a01), (-a10, a00)], a00 * a11 - a01 * a10
     if n == 1:
         return [(1,)], a[0][0]
-    raise ValueError(f"cofactor formulas cover n <= 3, got n = {n}")
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    minors, sign = _eliminate(rows, _first_nonzero, jordan=True)
+    if len(minors) < n:
+        return None, 0
+    return [tuple([sign * x for x in row[n:]]) for row in rows], sign * minors[-1]
 
 
 def _lowest_terms(rows: Sequence[tuple], den: int, prime: int) -> "LocalMatrix":
@@ -556,42 +564,23 @@ class LocalMatrix:
         return _lowest_terms(tuple(zip(*self.nums)), self.den, self.prime)
 
     def det(self) -> Fraction:
-        if self.n <= 3:
-            return Fraction(_adjugate(self.nums)[1], self.den**self.n)
-        minors, sign = _eliminate([list(row) for row in self.nums], _first_nonzero)
-        if len(minors) < self.n:
-            return Fraction(0)
-        return Fraction(sign * minors[-1], self.den**self.n)
+        """Exact determinant, det(N) / den^n for N = nums."""
+        return Fraction(_adjugate(self.nums)[1], self.den**self.n)
 
     def inverse(self) -> "LocalMatrix":
         """Exact inverse; raises SingularInputError when the determinant is zero.
 
-        For n <= 3 the inverse of N / den is den adj(N) / det N.  Larger n
-        run fraction-free Gauss-Jordan on [N | I], which ends at
-        [d I | d N^(-1)] with d = +-det N, so the inverse is
-        den (d N^(-1)) / d.
+        The inverse of N / den is den adj(N) / det N, scaled and reduced
+        to lowest terms in one pass.
         """
-        n = self.n
-        if n <= 3:
-            adj, d = _adjugate(self.nums)
-            if d == 0:
-                raise SingularInputError("matrix is singular")
-            # gcd(d, den * gcd(adj)) divides out while the rows are scaled
-            g = math.gcd(d, self.den * math.gcd(*itertools.chain.from_iterable(adj)))
-            scale = self.den if d > 0 else -self.den
-            rows = [tuple([scale * x // g for x in row]) for row in adj]
-            return _lowest_terms(rows, abs(d) // g, self.prime)
-        a = [
-            list(row) + [int(i == j) for j in range(n)]
-            for i, row in enumerate(self.nums)
-        ]
-        minors, _ = _eliminate(a, _first_nonzero, jordan=True)
-        if len(minors) < n:
+        adj, d = _adjugate(self.nums)
+        if d == 0:
             raise SingularInputError("matrix is singular")
-        d = minors[-1]
+        # gcd(d, den * gcd(adj)) divides out while the rows are scaled
+        g = math.gcd(d, self.den * math.gcd(*itertools.chain.from_iterable(adj)))
         scale = self.den if d > 0 else -self.den
-        rows = [[scale * x for x in row[n:]] for row in a]
-        return LocalMatrix._from_raw(rows, abs(d), self.prime)
+        rows = [tuple([scale * x // g for x in row]) for row in adj]
+        return _lowest_terms(rows, abs(d) // g, self.prime)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocalMatrix):
@@ -748,7 +737,9 @@ def hermite_normal_form(xi: LocalMatrix) -> tuple[HermiteForm, LocalMatrix]:
     transform an integral matrix of unit determinant.  Column pivots take
     the entry of least valuation, ties broken by lowest row index, so the
     computation is deterministic; the result is the unique canonical
-    representative of the orbit of xi under integral left units.
+    representative of the orbit of xi under integral left units.  The
+    transform is H xi^(-1), built from the adjugate of xi's numerators
+    without forming the inverse.
 
     Raises NonIntegralInputError when an entry has negative valuation and
     SingularInputError when xi is singular.
@@ -795,11 +786,9 @@ def hermite_normal_form(xi: LocalMatrix) -> tuple[HermiteForm, LocalMatrix]:
             w[j] = r
         rows[i] = w
     H = LocalMatrix._from_raw(rows, 1, p)
-    # the transform is unique: H xi^(-1).  At n <= 3 that is
-    # H adj(X) xi.den / det X for X = xi.nums, reduced to lowest terms once
-    # with the sign of det X moved into the numerators.
-    if n > 3:
-        return HermiteForm(H, exponents), H @ xi.inverse()
+    # the transform is unique: H xi^(-1) = H adj(X) xi.den / det X for
+    # X = xi.nums, reduced to lowest terms once with the sign of det X
+    # moved into the numerators.
     adj, d = _adjugate(xi.nums)
     scale = xi.den if d > 0 else -xi.den
     prod = _mul_rows(H.nums, adj)
@@ -815,9 +804,9 @@ def diagonal_witness(form: HermiteForm) -> LocalMatrix:
     diagonal torus: if the first nonzero entry above the diagonal sits at
     (i, j), the conjugate picks up (a_ij / p^{m_j})(d_j - d_i), which has
     negative valuation for d_i != d_j.  The diagonals are searched in
-    lexicographic order and the first witness is returned.  At n <= 3 the
-    conjugate is X D adj(X) / det X for X = xi.nums (the denominator of
-    xi cancels), so each D is tested on that integer product against
+    lexicographic order and the first witness is returned.  The conjugate
+    is X D adj(X) / det X for X = xi.nums (the denominator of xi
+    cancels), so each D is tested on that integer product against
     p^v(det X), and only the returned witness is built as a LocalMatrix.
 
     Raises AlreadyDiagonalError when no witness exists, which happens
@@ -826,22 +815,15 @@ def diagonal_witness(form: HermiteForm) -> LocalMatrix:
     """
     xi = form.matrix
     n, p = xi.n, xi.prime
-    if n <= 3:
-        X = xi.nums
-        adj, d = _adjugate(X)
-        if d == 0:
-            raise SingularInputError("matrix is singular")
-        integral = _valuation_test([[0] * n] * n, abs(d), p)
-        for bits in itertools.product((0, 1), repeat=n):
-            XD = [tuple([x * b for x, b in zip(row, bits)]) for row in X]
-            if not integral(_mul_rows(XD, adj)):
-                return LocalMatrix.diagonal(bits, p)
-    else:
-        xi_inv = xi.inverse()
-        for bits in itertools.product((0, 1), repeat=n):
-            D = LocalMatrix.diagonal(bits, p)
-            if not _triple_product(xi, D, xi_inv).is_integral():
-                return D
+    X = xi.nums
+    adj, d = _adjugate(X)
+    if d == 0:
+        raise SingularInputError("matrix is singular")
+    integral = _valuation_test([[0] * n] * n, abs(d), p)
+    for bits in itertools.product((0, 1), repeat=n):
+        XD = [tuple([x * b for x, b in zip(row, bits)]) for row in X]
+        if not integral(_mul_rows(XD, adj)):
+            return LocalMatrix.diagonal(bits, p)
     raise AlreadyDiagonalError(
         "every 0/1 diagonal conjugates integrally; the form is diagonal"
     )
@@ -852,45 +834,37 @@ def elementary_divisors(L: LocalMatrix, Lp: LocalMatrix) -> tuple[int, ...]:
 
     Columns of each matrix are lattice basis vectors, and the exponents
     are those of M = L^(-1) Lp: the k smallest sum to the least valuation
-    of the k x k minors of M.  For n <= 3, M is never built: it equals
-    N / D with N = adj(L.nums) Lp.nums and D = det(L.nums) Lp.den / L.den,
-    so exponent t is v(g_t) - v(g_(t-1)) - v(D), where g_t is the gcd of
-    the t x t minors of N: of the entries, of the adjugate's entries (the
-    (n - 1)-minors) and det N.  Larger n form M = L^(-1) Lp = N / den and
-    reduce N to a diagonal by fraction-free row and column operations,
-    pivoting on the entry of least valuation (ties broken by lowest row,
-    then column, index).  Exponents are returned in nondecreasing order
-    and may be negative when the second lattice is not contained in the
-    first.
+    of the k x k minors of M.  M is never built: it equals N / D with
+    N = adj(L.nums) Lp.nums and D = det(L.nums) Lp.den / L.den, so
+    exponent t is v(g_t) - v(g_(t-1)) - v(D), where v(g_t) is the least
+    valuation of the t x t minors of N.  At n <= 3 g_t is their gcd: of
+    the entries, of the adjugate's entries (the (n - 1)-minors) and det N.
+    Larger n reduce N to a diagonal by fraction-free row and column
+    operations, pivoting on the entry of least valuation (ties broken by
+    lowest row, then column, index), and g_t is the t-th pivot.
+    Exponents are returned in nondecreasing order and may be negative
+    when the second lattice is not contained in the first.
 
     Raises SingularInputError when either basis is singular.
     """
     L._require_compatible(Lp)
     p = L.prime
     n = L.n
+    adj_l, det_l = _adjugate(L.nums)
+    if det_l == 0:
+        raise SingularInputError("matrix is singular")
+    N = _mul_rows(adj_l, Lp.nums)
     if n <= 3:
-        adj_l, det_l = _adjugate(L.nums)
-        if det_l == 0:
-            raise SingularInputError("matrix is singular")
-        N = _mul_rows(adj_l, Lp.nums)
         adj, d = _adjugate(N)
         chain = itertools.chain.from_iterable
         # gcds of the k x k minors of N for k = 1..n, or none when singular
         gcds = (math.gcd(*chain(N)), math.gcd(*chain(adj)), d)
         minors = gcds[3 - n :] if d else ()
-        vden = (
-            _int_valuation(det_l, p)
-            + _int_valuation(Lp.den, p)
-            - _int_valuation(L.den, p)
-        )
     else:
-        M = L.inverse() @ Lp
-        a = [list(row) for row in M.nums]
-        # the t-th pivot of plain elimination on M is minor_(t+1) / (minor_t den)
-        minors = _eliminate(a, _least_valuation(p, full=True))[0]
-        vden = _int_valuation(M.den, p)
+        minors = _eliminate([list(row) for row in N], _least_valuation(p, full=True))[0]
     if len(minors) < n:
         raise SingularInputError("lattice basis is singular")
+    vden = _int_valuation(det_l, p) + _int_valuation(Lp.den, p) - _int_valuation(L.den, p)
     vals = [0] + [_int_valuation(m, p) for m in minors]
     return tuple(sorted(vals[t + 1] - vals[t] - vden for t in range(n)))
 

@@ -71,10 +71,11 @@ def check_index_pair(i, j, n: int, noun: str = "index pair") -> None:
 class ExponentMatrix:
     """Square integer matrix with zero diagonal.
 
-    Instances are immutable: entries are stored as a tuple of tuples and
-    no mutating operations are provided.  ``_closure`` caches the min-plus
-    closure of the entries (see ``_cached_closure``); equality, hashing and
-    repr ignore it.
+    Instances are immutable: entries are stored as a tuple of tuples, and
+    assignment and deletion of attributes raise AttributeError, so the
+    slots are written only through their descriptors' ``__set__``.
+    ``_closure`` caches the min-plus closure of the entries (see
+    ``_cached_closure``); equality, hashing and repr ignore it.
     """
 
     __slots__ = ("n", "entries", "_closure")
@@ -91,19 +92,29 @@ class ExponentMatrix:
                 raise NonZeroDiagonalError(
                     f"diagonal entry ({i}, {i}) is {rows[i][i]}, expected 0"
                 )
-        self.n = n
-        self.entries = rows
-        self._closure = None
+        _set_n(self, n)
+        _set_entries(self, rows)
+        _set_closure(self, None)
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...], closure=None) -> "ExponentMatrix":
         """Matrix on a tuple of n >= 2 tuples of n plain ints with zero
         diagonal, unchecked; ``closure``, when given, is their cached closure."""
         m = object.__new__(cls)
-        m.n = len(rows)
-        m.entries = rows
-        m._closure = closure
+        _set_n(m, len(rows))
+        _set_entries(m, rows)
+        _set_closure(m, closure)
         return m
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _trusted, keeping the closure
+        return self._trusted, (self.entries, self._closure)
 
     def entry(self, i: int, j: int) -> int:
         """Entry (i, j); raises TypeError and IndexError as ``check_index_pair``."""
@@ -134,6 +145,11 @@ class ExponentMatrix:
         if declared is not None and declared != matrix.n:
             raise ValueError(f"declared n = {declared!r} but matrix has n = {matrix.n}")
         return matrix
+
+
+_set_n = ExponentMatrix.n.__set__
+_set_entries = ExponentMatrix.entries.__set__
+_set_closure = ExponentMatrix._closure.__set__
 
 
 def is_order(nu: ExponentMatrix) -> bool:
@@ -357,7 +373,8 @@ def _cached_closure(nu: ExponentMatrix) -> tuple[tuple[int, ...], ...]:
     closed = nu._closure
     if closed is None:
         dist = minplus_closure(nu.entries)
-        closed = nu._closure = () if dist is None else tuple(map(tuple, dist))
+        closed = () if dist is None else tuple(map(tuple, dist))
+        _set_closure(nu, closed)
     return closed
 
 

@@ -194,3 +194,27 @@ def _rand_invertible(rng, n, p):
         M = LocalMatrix(rows, p)
         if M.det() != 0:
             return M
+
+
+def test_an_apartment_refuses_a_new_frame():
+    ap = Apartment(LocalMatrix.identity(2, 2))
+    with pytest.raises(AttributeError):
+        ap.gamma = LocalMatrix([[2, 0], [0, 1]], 2)
+    assert ap.gamma == LocalMatrix.identity(2, 2)
+    # a frame given at construction transports with its own inverse
+    A = LocalMatrix([[0, 1], [0, 0]], 2)
+    moved = Apartment(LocalMatrix([[2, 0], [0, 1]], 2)).to_standard(A)
+    assert moved.entry(0, 1) == Fraction(1, 2)
+
+
+def test_a_general_split_order_refuses_new_parts():
+    S = GeneralSplitOrder(Apartment.standard(2, 2), ExponentMatrix([[0, 0], [0, 0]]))
+    assert general_membership(S, LocalMatrix([[1, 1], [1, 1]], 2)) is True
+    with pytest.raises(AttributeError):
+        S.nu = ExponentMatrix([[0, 3], [3, 0]])
+    with pytest.raises(AttributeError):
+        S.apartment = Apartment(LocalMatrix([[2, 0], [0, 1]], 2))
+    assert S.nu == ExponentMatrix([[0, 0], [0, 0]])
+    assert general_membership(S, LocalMatrix([[1, 1], [1, 1]], 2)) is True
+    fresh = GeneralSplitOrder(Apartment.standard(2, 2), ExponentMatrix([[0, 3], [3, 0]]))
+    assert general_membership(fresh, LocalMatrix([[1, 1], [1, 1]], 2)) is False

@@ -157,6 +157,22 @@ def test_equality_hash_and_repr_ignore_the_slot():
     assert repr(filled) == repr(empty) == "ExponentMatrix([[0, 1, 4], [2, 0, 1], [0, 3, 0]])"
 
 
+def test_attributes_refuse_assignment_and_deletion():
+    nu = ExponentMatrix([[0, 1], [1, 0]])
+    assert has_containing_maximal(nu)
+    hull = order_hull(nu)
+    for name, value in (("entries", ((0, -5), (1, 0))), ("n", 3), ("_closure", ())):
+        with pytest.raises(AttributeError):
+            setattr(nu, name, value)
+        with pytest.raises(AttributeError):
+            delattr(nu, name)
+    with pytest.raises(AttributeError):
+        nu.other = 1
+    assert nu.entries == ((0, 1), (1, 0)) and nu._closure == ((0, 1), (1, 0))
+    assert has_containing_maximal(nu) and order_hull(nu) == hull
+    assert not has_containing_maximal(ExponentMatrix([[0, -5], [1, 0]]))
+
+
 def _filled_objects():
     feasible = ExponentMatrix([[0, 0, 2], [3, 0, 1], [3, 2, 0]])
     has_containing_maximal(feasible)
@@ -337,7 +353,8 @@ def off_by_one_fill(monkeypatch):
             if closed:
                 bumped = [list(row) for row in closed]
                 bumped[0][1] += 1
-                closed = nu._closure = tuple(map(tuple, bumped))
+                closed = tuple(map(tuple, bumped))
+                ExponentMatrix._closure.__set__(nu, closed)
         return closed
 
     for module in READERS:

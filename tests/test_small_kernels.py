@@ -57,7 +57,7 @@ def _cases(seed, count, **kw):
 
 
 def _eliminated_det(A):
-    """det by Bareiss elimination, the path n >= 4 takes."""
+    """det by forward Bareiss elimination, apart from ``_adjugate``."""
     minors, sign = _eliminate([list(row) for row in A.nums], _first_nonzero)
     if len(minors) < A.n:
         return Fraction(0)
@@ -114,15 +114,21 @@ def test_det_and_inverse_match_elimination_and_gauss_jordan():
 
 
 def test_adjugate_times_matrix_is_det_times_identity():
-    for A in _cases(41, 180):
-        if A.n > 3:
-            with pytest.raises(ValueError):
-                _adjugate(A.nums)
-            continue
+    rng = random.Random(43)
+    larger = [_matrix(rng, n, p) for n in (4, 5) for p in PRIMES for _ in range(15)]
+    for A in list(_cases(41, 180)) + larger:
         adj, d = _adjugate(A.nums)
+        if A.n > 3 and d == 0:
+            assert adj is None
+            continue
+        assert d == _eliminated_det(A) * A.den**A.n
         identity = [tuple(d * int(i == j) for j in range(A.n)) for i in range(A.n)]
         assert _mul_rows_general(adj, A.nums) == identity
         assert _mul_rows_general(A.nums, adj) == identity
+    for n in (4, 5):
+        for p in PRIMES:
+            singular = _matrix(rng, n, p, singular=True)
+            assert _adjugate(singular.nums) == (None, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
