@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from ._record import Frozen
 from .correspondence import ApartmentVertex, intersect_maximal
 from .dvr import (
     LocalMatrix,
@@ -32,48 +33,44 @@ from .exponent import ExponentMatrix
 from .polytope import is_reduced
 
 
-class Apartment:
+class Apartment(Frozen):
     """Apartment named by an invertible change of basis from the standard frame.
 
-    ``gamma`` is read-only, so the inverse kept beside it cannot go stale.
+    ``gamma`` and the inverse kept beside it are frozen, so the inverse cannot go stale.
     """
 
-    __slots__ = ("_gamma", "_gamma_inv")
+    __slots__ = ("gamma", "_gamma_inv")
 
     def __init__(self, gamma: LocalMatrix):
         try:
             inv = gamma.inverse()
         except SingularInputError as exc:
             raise SingularConjugatorError("apartment frame is singular") from exc
-        self._gamma = gamma
-        self._gamma_inv = inv
+        _set_gamma(self, gamma)
+        _set_gamma_inv(self, inv)
 
     @classmethod
     def standard(cls, n: int, prime: int) -> "Apartment":
         return cls(LocalMatrix.identity(n, prime))
 
     @property
-    def gamma(self) -> LocalMatrix:
-        return self._gamma
-
-    @property
     def n(self) -> int:
-        return self._gamma.n
+        return self.gamma.n
 
     @property
     def prime(self) -> int:
-        return self._gamma.prime
+        return self.gamma.prime
 
     def is_standard(self) -> bool:
         return self.gamma == LocalMatrix.identity(self.n, self.prime)
 
     def to_standard(self, A: LocalMatrix) -> LocalMatrix:
         """Pull A back to the standard frame: gamma^(-1) A gamma."""
-        return _triple_product(self._gamma_inv, A, self._gamma)
+        return _triple_product(self._gamma_inv, A, self.gamma)
 
     def from_standard(self, A: LocalMatrix) -> LocalMatrix:
         """Push A out of the standard frame: gamma A gamma^(-1)."""
-        return _triple_product(self._gamma, A, self._gamma_inv)
+        return _triple_product(self.gamma, A, self._gamma_inv)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Apartment):
@@ -84,16 +81,16 @@ class Apartment:
         return f"Apartment({self.gamma!r})"
 
 
-class GeneralSplitOrder:
+class GeneralSplitOrder(Frozen):
     """Conjugate gamma S(nu) gamma^(-1) of a reduced standard split order.
 
     ``general_membership`` keeps its compiled valuation tests in
     ``_tests``, one per valuation of the pull-back denominator it has
-    met, built on first use; ``apartment`` and ``nu`` are read-only, so
-    the tests cannot go stale.
+    met, built on first use; ``apartment`` and ``nu`` are frozen slots
+    holding frozen values, so the tests cannot go stale.
     """
 
-    __slots__ = ("_apartment", "_nu", "_tests")
+    __slots__ = ("apartment", "nu", "_tests")
 
     def __init__(self, apartment: Apartment, nu: ExponentMatrix):
         if apartment.n != nu.n:
@@ -102,25 +99,17 @@ class GeneralSplitOrder:
             )
         if not is_reduced(nu):
             raise NotAnOrderError("exponent matrix must be reduced")
-        self._apartment = apartment
-        self._nu = nu
-        self._tests = {}
-
-    @property
-    def apartment(self) -> Apartment:
-        return self._apartment
-
-    @property
-    def nu(self) -> ExponentMatrix:
-        return self._nu
+        _set_apartment(self, apartment)
+        _set_nu(self, nu)
+        _set_tests(self, {})
 
     @property
     def n(self) -> int:
-        return self._nu.n
+        return self.nu.n
 
     @property
     def prime(self) -> int:
-        return self._apartment.prime
+        return self.apartment.prime
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneralSplitOrder):
@@ -143,6 +132,13 @@ class GeneralSplitOrder:
             raise ValueError("expected an object with 'gamma', 'prime' and 'nu'")
         gamma = LocalMatrix(data["gamma"], data["prime"])
         return cls(Apartment(gamma), ExponentMatrix.from_json_dict(data["nu"]))
+
+
+_set_gamma = Apartment.gamma.__set__
+_set_gamma_inv = Apartment._gamma_inv.__set__
+_set_apartment = GeneralSplitOrder.apartment.__set__
+_set_nu = GeneralSplitOrder.nu.__set__
+_set_tests = GeneralSplitOrder._tests.__set__
 
 
 def incident(u: ApartmentVertex, v: ApartmentVertex) -> bool:
@@ -168,11 +164,10 @@ def general_membership(S: GeneralSplitOrder, A: LocalMatrix) -> bool:
     through its valuation, so ``S`` keeps one compiled test per valuation
     and builds its moduli once.
     """
-    nu = S._nu
+    nu = S.nu
     if A.n != nu.n:
         raise DimensionMismatchError(f"matrix has n = {A.n} but order has n = {nu.n}")
-    ap = S._apartment
-    left, right = ap._gamma_inv, ap._gamma
+    left, right = S.apartment._gamma_inv, S.apartment.gamma
     p = A.prime
     if p != right.prime:
         raise ValueError(f"prime mismatch: {p} vs {right.prime}")

@@ -33,7 +33,8 @@ def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
     Ideals intersect to the larger exponent, so the result is the
     entrywise maximum of the coordinate differences over the family.  Each
     pair of coordinates is subtracted once: the maximum of m_i - m_j gives
-    entry (i, j) and minus its minimum gives entry (j, i).
+    entry (i, j) and minus its minimum gives entry (j, i).  Every vertex
+    has m_0 = 0, so the pairs with coordinate 0 need no subtraction.
 
     Raises EmptyVertexListError on an empty family and
     DimensionMismatchError when the vertices disagree on n.
@@ -48,16 +49,10 @@ def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
     cols = list(zip(*ms))
     n = len(cols)
     rows = [[0] * n for _ in range(n)]
-    first = 0
-    if not any(cols[0]):
-        # normalized vertices: the differences against column 0 are column j
-        top = rows[0]
-        for j in range(1, n):
-            cj = cols[j]
-            rows[j][0] = max(cj)
-            top[j] = -min(cj)
-        first = 1
-    for i in range(first, n - 1):
+    for j in range(1, n):
+        rows[j][0] = max(cols[j])
+        rows[0][j] = -min(cols[j])
+    for i in range(1, n - 1):
         ci = cols[i]
         ri = rows[i]
         for j in range(i + 1, n):

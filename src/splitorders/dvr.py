@@ -23,7 +23,7 @@ import operator
 import random
 from typing import Iterable, Optional, Sequence, Union
 
-from ._record import FrozenRecord
+from ._record import Frozen, FrozenRecord
 from .correspondence import ApartmentVertex
 from .errors import (
     AlreadyDiagonalError,
@@ -32,7 +32,7 @@ from .errors import (
     SingularConjugatorError,
     SingularInputError,
 )
-from .exponent import ExponentMatrix, _as_int, check_index_pair, first_violation
+from .exponent import ExponentMatrix, _as_int, check_index_pair, first_violation, int_tuple
 
 INFINITE = math.inf  # valuation of zero
 
@@ -396,15 +396,19 @@ def _lowest_terms(rows: Sequence[tuple], den: int, prime: int) -> "LocalMatrix":
                 rows = ((a00 // g, a01 // g), (a10 // g, a11 // g))
             else:
                 rows = [tuple([x // g for x in row]) for row in rows]
-    obj = object.__new__(LocalMatrix)
-    obj.n = n
-    obj.prime = prime
-    obj.nums = tuple(rows)
-    obj.den = den
+    return _fill(object.__new__(LocalMatrix), n, prime, tuple(rows), den)
+
+
+def _fill(obj: "LocalMatrix", n: int, prime: int, nums: tuple, den: int) -> "LocalMatrix":
+    """obj as nums / den, given in lowest terms; no other code writes the slots."""
+    _set_n(obj, n)
+    _set_prime(obj, prime)
+    _set_nums(obj, nums)
+    _set_den(obj, den)
     return obj
 
 
-class LocalMatrix:
+class LocalMatrix(Frozen):
     """Square matrix of exact rationals sharing one prime.
 
     Entries are kept as one integer numerator matrix over a common
@@ -431,10 +435,7 @@ class LocalMatrix:
                 tuple(f.numerator * (den // f.denominator) for f in row)
                 for row in fracs
             )
-        self.n = n
-        self.prime = p
-        self.nums = nums
-        self.den = den
+        _fill(self, n, p, nums, den)
 
     @classmethod
     def _from_raw(
@@ -447,6 +448,7 @@ class LocalMatrix:
 
     @classmethod
     def identity(cls, n: int, prime: int) -> "LocalMatrix":
+        n = _as_int(n, "n")
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], prime)
 
     @classmethod
@@ -464,6 +466,7 @@ class LocalMatrix:
     def power_diagonal(cls, exponents: Sequence[int], prime: int) -> "LocalMatrix":
         """diag(p^e_1, ..., p^e_n), built from integers."""
         p = check_prime(prime)
+        exponents = int_tuple(exponents)
         n = len(exponents)
         if n == 0:
             raise ValueError("matrix must be square and nonempty")
@@ -480,13 +483,12 @@ class LocalMatrix:
         """p^exponent times the matrix unit E(i, j); raises TypeError and
         IndexError as ``check_index_pair``."""
         p = check_prime(prime)
+        n = _as_int(n, "n")
         check_index_pair(i, j, n, "matrix unit")
+        exponent = _as_int(exponent, "exponent")
         rows = [[0] * n for _ in range(n)]
-        if exponent >= 0:
-            rows[i][j] = p**exponent
-            return cls._from_raw(rows, 1, p)
-        rows[i][j] = 1
-        return cls._from_raw(rows, p**-exponent, p)
+        rows[i][j] = p ** max(exponent, 0)
+        return cls._from_raw(rows, p ** max(-exponent, 0), p)
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.nums[i][j], self.den)
@@ -579,8 +581,8 @@ class LocalMatrix:
         # gcd(d, den * gcd(adj)) divides out while the rows are scaled
         g = math.gcd(d, self.den * math.gcd(*itertools.chain.from_iterable(adj)))
         scale = self.den if d > 0 else -self.den
-        rows = [tuple([scale * x // g for x in row]) for row in adj]
-        return _lowest_terms(rows, abs(d) // g, self.prime)
+        rows = tuple([tuple([scale * x // g for x in row]) for row in adj])
+        return _fill(object.__new__(LocalMatrix), self.n, self.prime, rows, abs(d) // g)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocalMatrix):
@@ -614,6 +616,12 @@ class LocalMatrix:
         if not isinstance(data, dict) or "entries" not in data or "prime" not in data:
             raise ValueError("expected an object with 'entries' and 'prime' fields")
         return cls(data["entries"], data["prime"])
+
+
+_set_n = LocalMatrix.n.__set__
+_set_prime = LocalMatrix.prime.__set__
+_set_nums = LocalMatrix.nums.__set__
+_set_den = LocalMatrix.den.__set__
 
 
 def _modulus(k: int, p: int) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Optional, Sequence
 
+from ._record import Frozen
 from .errors import (
     NegativeCycleError,
     NonZeroDiagonalError,
@@ -68,12 +69,12 @@ def check_index_pair(i, j, n: int, noun: str = "index pair") -> None:
         raise IndexError(f"{noun} ({i}, {j}) out of range for n = {n}")
 
 
-class ExponentMatrix:
+class ExponentMatrix(Frozen):
     """Square integer matrix with zero diagonal.
 
     Instances are immutable: entries are stored as a tuple of tuples, and
-    assignment and deletion of attributes raise AttributeError, so the
-    slots are written only through their descriptors' ``__set__``.
+    ``Frozen`` refuses assignment and deletion, so the slots are written
+    only through their descriptors' ``__set__``.
     ``_closure`` caches the min-plus closure of the entries (see
     ``_cached_closure``); equality, hashing and repr ignore it.
     """
@@ -105,16 +106,6 @@ class ExponentMatrix:
         _set_entries(m, rows)
         _set_closure(m, closure)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through _trusted, keeping the closure
-        return self._trusted, (self.entries, self._closure)
 
     def entry(self, i: int, j: int) -> int:
         """Entry (i, j); raises TypeError and IndexError as ``check_index_pair``."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Iterable
 
+from ._record import Frozen
 from .errors import EmptyPolytopeError, EnumerationLimitError
 from .exponent import ExponentMatrix, _cached_closure, check_index_pair, int_tuple
 
@@ -30,7 +31,7 @@ from .exponent import minplus_closure
 DEFAULT_POINT_LIMIT = 10**6
 
 
-class ApartmentVertex:
+class ApartmentVertex(Frozen):
     """Vertex of the standard apartment, normalized so the first coordinate is 0."""
 
     __slots__ = ("m",)
@@ -42,7 +43,7 @@ class ApartmentVertex:
         if m[0] != 0:
             base = m[0]
             m = tuple(x - base for x in m)
-        self.m = m
+        _set_m(self, m)
 
     @classmethod
     def _trusted(cls, tuples: Iterable[tuple[int, ...]]) -> list["ApartmentVertex"]:
@@ -51,7 +52,7 @@ class ApartmentVertex:
         vertices = []
         for m in tuples:
             v = new(cls)
-            v.m = m
+            _set_m(v, m)
             vertices.append(v)
         return vertices
 
@@ -74,6 +75,9 @@ class ApartmentVertex:
 
     def __repr__(self) -> str:
         return f"ApartmentVertex({list(self.m)})"
+
+
+_set_m = ApartmentVertex.m.__set__
 
 
 def difference_range(nu: ExponentMatrix, i: int, j: int) -> tuple[int, int]:

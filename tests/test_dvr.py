@@ -123,6 +123,53 @@ def test_json_prime_is_not_truncated(prime, error):
         )
 
 
+def test_matrix_unit_stores_an_integral_float_exponent_as_an_exact_power():
+    """exponent=60.0 stored the float 4.23911582752162e+28, not 3**60."""
+    A = LocalMatrix.matrix_unit(2, 0, 1, 3, exponent=60.0)
+    assert A.nums == ((0, 3**60), (0, 0)) and type(A.nums[0][1]) is int
+    assert A == LocalMatrix.matrix_unit(2, 0, 1, 3, exponent=60)
+
+
+def test_matrix_unit_with_a_float_exponent_has_valuations():
+    """At p = 2, exponent=1.0 built a matrix whose valuation raised a bare
+    TypeError about ``&``."""
+    assert LocalMatrix.matrix_unit(2, 0, 1, 2, exponent=1.0).valuation(0, 1) == 1
+    assert LocalMatrix.matrix_unit(2, 0, 1, 2, exponent=-3.0).valuation(0, 1) == -3
+
+
+def test_matrix_unit_refuses_a_bool_exponent_and_dimension():
+    """exponent=True read as 1."""
+    with pytest.raises(TypeError, match="^exponent True is not an integer$"):
+        LocalMatrix.matrix_unit(2, 0, 1, 2, exponent=True)
+    with pytest.raises(ValueError, match="^exponent 1.5 is not an integer$"):
+        LocalMatrix.matrix_unit(2, 0, 1, 2, exponent=1.5)
+    with pytest.raises(TypeError, match="^n True is not an integer$"):
+        LocalMatrix.matrix_unit(True, 0, 0, 2)
+    assert LocalMatrix.matrix_unit(2.0, 0, 1, 2) == LocalMatrix.matrix_unit(2, 0, 1, 2)
+
+
+def test_power_diagonal_stores_integral_float_exponents_as_ints():
+    """[0, 1.0] stored the float 2.0; [0, -1.0] raised from math.gcd."""
+    A = LocalMatrix.power_diagonal([0, 1.0], 2)
+    assert A.nums == ((1, 0), (0, 2)) and all(type(x) is int for row in A.nums for x in row)
+    assert LocalMatrix.power_diagonal([0, -1.0], 2) == LocalMatrix.power_diagonal([0, -1], 2)
+    with pytest.raises(ValueError, match="^entry 0.5 is not an integer$"):
+        LocalMatrix.power_diagonal([0, 0.5], 2)
+
+
+def test_power_diagonal_refuses_bool_exponents():
+    """[0, True] read as [0, 1]."""
+    with pytest.raises(TypeError, match="^entry True is not an integer$"):
+        LocalMatrix.power_diagonal([0, True], 2)
+
+
+def test_identity_refuses_a_bool_dimension():
+    """identity(True, 2) returned a 1 x 1 matrix."""
+    with pytest.raises(TypeError, match="^n True is not an integer$"):
+        LocalMatrix.identity(True, 2)
+    assert LocalMatrix.identity(2.0, 2) == LocalMatrix.identity(2, 2)
+
+
 def test_scalar_arithmetic():
     a = LocalScalar(Fraction(3, 4), 2)
     b = LocalScalar(Fraction(1, 4), 2)

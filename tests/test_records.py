@@ -4,16 +4,22 @@
 ``CheckResult`` and ``FuzzReport`` are frozen records: the
 expected reprs, equalities, hashes, validation messages and copy/pickle
 round trips below were captured from their frozen-dataclass versions,
-and pin that the plain classes behave the same.
+and pin that the plain classes behave the same.  ``ExponentMatrix``,
+``LocalMatrix``, ``ApartmentVertex``, ``Apartment`` and
+``GeneralSplitOrder`` are slotted classes on the same frozen base, and
+refuse assignment and round-trip through pickle and copy alike.
 """
 
 import copy
 import math
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import splitorders
+from splitorders.apartments import Apartment, GeneralSplitOrder
 from splitorders.correspondence import ApartmentVertex, RoundtripReport, verify_roundtrip
 from splitorders.dvr import HermiteForm, LocalMatrix, LocalScalar, hermite_normal_form
 from splitorders.exponent import ExponentMatrix
@@ -118,10 +124,43 @@ INSTANCES = {
 
 UNHASHABLE = {"check-result-failure", "fuzz-report"}
 
+GAMMA = "LocalMatrix([[1, 2], [0, 3]], prime=2)"
+
+
+def _apartment():
+    return Apartment(LocalMatrix([[1, 2], [0, 3]], 2))
+
+
+# the slotted value classes: (factory, expected repr, slot names)
+SLOTTED = {
+    "exponent-matrix": (
+        lambda: ExponentMatrix([[0, 1], [-1, 0]]),
+        "ExponentMatrix([[0, 1], [-1, 0]])",
+        ("n", "entries", "_closure"),
+    ),
+    "local-matrix": (
+        lambda: LocalMatrix([["1/2", 0], [3, 4]], 2),
+        "LocalMatrix([[1/2, 0], [3, 4]], prime=2)",
+        ("n", "prime", "nums", "den"),
+    ),
+    "vertex": (lambda: ApartmentVertex([1, 3, 0]), "ApartmentVertex([0, 2, -1])", ("m",)),
+    "apartment": (_apartment, f"Apartment({GAMMA})", ("gamma", "_gamma_inv")),
+    "general-split-order": (
+        lambda: GeneralSplitOrder(_apartment(), ExponentMatrix([[0, 1], [0, 0]])),
+        f"GeneralSplitOrder(Apartment({GAMMA}), ExponentMatrix([[0, 1], [0, 0]]))",
+        ("apartment", "nu", "_tests"),
+    ),
+}
+
 
 @pytest.fixture(params=sorted(INSTANCES))
 def case(request):
     return request.param, *INSTANCES[request.param]
+
+
+@pytest.fixture(params=sorted(INSTANCES) + sorted(SLOTTED))
+def frozen(request):
+    return request.param, *{**INSTANCES, **SLOTTED}[request.param]
 
 
 def test_repr(case):
@@ -198,8 +237,8 @@ def test_defaults_and_stored_values():
         FuzzConfig(unknown=1)
 
 
-def test_assignment_and_deletion_raise(case):
-    _, make, _, fields = case
+def test_assignment_and_deletion_raise(frozen):
+    _, make, _, fields = frozen
     obj = make()
     before = repr(obj)
     with pytest.raises(AttributeError, match=f"cannot assign to field '{fields[0]}'"):
@@ -211,8 +250,8 @@ def test_assignment_and_deletion_raise(case):
     assert repr(obj) == before
 
 
-def test_pickle_and_copy_round_trips(case):
-    _, make, expected, _ = case
+def test_pickle_and_copy_round_trips(frozen):
+    _, make, expected, _ = frozen
     obj = make()
     for clone in (
         pickle.loads(pickle.dumps(obj)),
@@ -225,6 +264,47 @@ def test_pickle_and_copy_round_trips(case):
         assert repr(clone) == expected
     with pytest.raises(AttributeError):
         copy.copy(obj).other = 1
+
+
+@pytest.mark.parametrize("protocol", [0, 1])
+def test_slotted_classes_refuse_pickle_protocols_0_and_1(protocol):
+    """Pickle reaches ``Frozen.__setstate__`` for a slotted class only at
+    protocol 2 and up.  ``ExponentMatrix`` lost protocols 0 and 1 with its
+    ``__reduce__``; the other four slotted classes never had them."""
+    for make, _, _ in SLOTTED.values():
+        with pytest.raises(TypeError, match="__slots__"):
+            pickle.dumps(make(), protocol)
+
+
+def test_slotted_classes_keep_no_instance_dict():
+    for make, _, slots in SLOTTED.values():
+        obj = make()
+        assert not hasattr(obj, "__dict__")
+        assert type(obj).__slots__ == slots
+
+
+def test_one_refusal_in_the_package():
+    source = "".join(p.read_text() for p in Path(splitorders.__file__).parent.glob("*.py"))
+    assert source.count("def __setattr__") == source.count("def __delattr__") == 1
+
+
+def test_a_frame_cannot_change_under_its_inverse():
+    """``ap.gamma.nums = ...`` left ``to_standard`` on the old inverse."""
+    ap = _apartment()
+    with pytest.raises(AttributeError, match="cannot assign to field 'nums'"):
+        ap.gamma.nums = ((2, 0), (0, 1))
+    A = LocalMatrix([[1, 1], [0, 1]], 2)
+    assert ap.from_standard(ap.to_standard(A)) == A
+    assert ap._gamma_inv == ap.gamma.inverse()
+
+
+def test_a_set_keeps_finding_a_vertex():
+    """``v.m = (0, 5, 'x')`` stored a string, and a set holding v lost it."""
+    v = ApartmentVertex([0, 1, 2])
+    held = {v}
+    with pytest.raises(AttributeError, match="cannot assign to field 'm'"):
+        v.m = (0, 5, "x")
+    assert v.m == (0, 1, 2) and v in held
 
 
 @pytest.mark.parametrize(

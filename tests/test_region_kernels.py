@@ -134,13 +134,15 @@ def test_intersection_with_a_nonzero_first_coordinate(n):
     for size in (1, 2, 5):
         for _ in range(30):
             family = _family(rng, n, size)
-            # a vertex whose coordinates were reassigned past the normalization
-            family[-1].m = tuple(x + rng.choice((-2, 1, 3)) for x in family[-1].m)
-            coords = [v.m for v in family]
-            assert coords[-1][0] != 0
+            # a vertex given with a nonzero first coordinate is normalized
+            # on construction; its maximal order does not see the shift
+            shifted = tuple(x + rng.choice((-2, 1, 3)) for x in family[-1].m)
+            assert shifted[0] != 0
+            family[-1] = ApartmentVertex(shifted)
+            assert family[-1].m[0] == 0
+            coords = [v.m for v in family[:-1]] + [shifted]
             got = intersect_maximal(family)
             assert [list(row) for row in got.entries] == _scan(coords)
-    # a first column of zeros and nonzeros across the family
-    family = [ApartmentVertex([0, 1]), ApartmentVertex([0, 0])]
-    family[0].m = (2, 1)
+    # a first coordinate of zero and of nonzero across the family
+    family = [ApartmentVertex([2, 1]), ApartmentVertex([0, 0])]
     assert intersect_maximal(family).entries == ((0, 1), (0, 0))
