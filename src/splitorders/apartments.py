@@ -16,10 +16,11 @@ from ._record import Frozen
 from .correspondence import ApartmentVertex, intersect_maximal
 from .dvr import (
     LocalMatrix,
+    _divisor_exponents,
     _int_valuation,
     _mul_rows,
+    _membership_test,
     _triple_product,
-    _valuation_test,
     conjugate,
     elementary_divisors,
 )
@@ -84,13 +85,11 @@ class Apartment(Frozen):
 class GeneralSplitOrder(Frozen):
     """Conjugate gamma S(nu) gamma^(-1) of a reduced standard split order.
 
-    ``general_membership`` keeps its compiled valuation tests in
-    ``_tests``, one per valuation of the pull-back denominator it has
-    met, built on first use; ``apartment`` and ``nu`` are frozen slots
-    holding frozen values, so the tests cannot go stale.
+    ``apartment`` and ``nu`` are frozen slots holding frozen values, and
+    the order holds nothing else, so it pickles and copies as they do.
     """
 
-    __slots__ = ("apartment", "nu", "_tests")
+    __slots__ = ("apartment", "nu")
 
     def __init__(self, apartment: Apartment, nu: ExponentMatrix):
         if apartment.n != nu.n:
@@ -101,7 +100,6 @@ class GeneralSplitOrder(Frozen):
             raise NotAnOrderError("exponent matrix must be reduced")
         _set_apartment(self, apartment)
         _set_nu(self, nu)
-        _set_tests(self, {})
 
     @property
     def n(self) -> int:
@@ -138,7 +136,6 @@ _set_gamma = Apartment.gamma.__set__
 _set_gamma_inv = Apartment._gamma_inv.__set__
 _set_apartment = GeneralSplitOrder.apartment.__set__
 _set_nu = GeneralSplitOrder.nu.__set__
-_set_tests = GeneralSplitOrder._tests.__set__
 
 
 def incident(u: ApartmentVertex, v: ApartmentVertex) -> bool:
@@ -160,9 +157,7 @@ def general_membership(S: GeneralSplitOrder, A: LocalMatrix) -> bool:
 
     The pull-back gamma^(-1) A gamma is tested as the integer triple
     product over the product of the three denominators, without reducing
-    it to lowest terms first.  The test depends on that denominator only
-    through its valuation, so ``S`` keeps one compiled test per valuation
-    and builds its moduli once.
+    it to lowest terms first, by the cached test for (nu, v(den), p).
     """
     nu = S.nu
     if A.n != nu.n:
@@ -171,10 +166,7 @@ def general_membership(S: GeneralSplitOrder, A: LocalMatrix) -> bool:
     p = A.prime
     if p != right.prime:
         raise ValueError(f"prime mismatch: {p} vs {right.prime}")
-    vden = _int_valuation(left.den * A.den * right.den, p)
-    within = S._tests.get(vden)
-    if within is None:
-        within = S._tests[vden] = _valuation_test(nu.entries, p**vden, p)
+    within = _membership_test(nu.entries, _int_valuation(left.den * A.den * right.den, p), p)
     return within(_mul_rows(_mul_rows(left.nums, A.nums), right.nums))
 
 
@@ -211,8 +203,13 @@ def divisor_invariance_check(
     """Whether elementary divisors survive transport by gamma.
 
     Compares the divisors of (L, Lp) with those of (gamma L, gamma Lp),
-    each computed from scratch on its own pair.
+    each computed from scratch on its own pair; gamma L and gamma Lp are
+    read as raw integer products, not reduced to lowest terms.
     """
-    return elementary_divisors(L, Lp) == elementary_divisors(
-        gamma @ L, gamma @ Lp
+    before = elementary_divisors(L, Lp)
+    gamma._require_compatible(L)
+    gamma._require_compatible(Lp)
+    return before == _divisor_exponents(
+        _mul_rows(gamma.nums, L.nums), gamma.den * L.den,
+        _mul_rows(gamma.nums, Lp.nums), gamma.den * Lp.den, gamma.prime,
     )

@@ -24,7 +24,7 @@ import random
 from typing import Iterable, Optional, Sequence, Union
 
 from ._record import Frozen, FrozenRecord
-from .correspondence import ApartmentVertex
+from .correspondence import ApartmentVertex, maximal_order_exponents
 from .errors import (
     AlreadyDiagonalError,
     DimensionMismatchError,
@@ -624,73 +624,51 @@ _set_nums = LocalMatrix.nums.__set__
 _set_den = LocalMatrix.den.__set__
 
 
-def _modulus(k: int, p: int) -> int:
-    """The modulus m that tests a numerator x for divisibility by p^k.
+@functools.lru_cache(maxsize=64)
+def _membership_test(bounds: tuple, vden: int, p: int):
+    """Predicate on integer rows N: whether every entry of N / d, for any
+    d >= 1 of valuation ``vden``, in lowest terms with N or not, has
+    valuation at least ``bounds[i][j]`` (a tuple of row tuples).
 
-    p^k divides x exactly when ``x & m`` is 0 at p = 2, where m masks the
-    low k bits, and when ``x % m`` is 0 otherwise; for k <= 0 every x
-    passes.
+    Entry (i, j) passes when p^k divides its numerator, k = bounds[i][j]
+    + vden; the predicate stops at the first entry that fails.
     """
+    # p^k divides x exactly when x & m is 0 at p = 2, where m masks the
+    # low k bits, and when x % m is 0 otherwise; for k <= 0 every x passes
     if p == 2:
-        return (1 << k) - 1 if k > 0 else 0
-    return p**k if k > 0 else 1
-
-
-def _valuation_test(bounds: Sequence[Sequence[int]], den: int, p: int):
-    """Predicate on integer rows N: whether every entry of N / den has
-    valuation at least ``bounds[i][j]``.
-
-    den >= 1 need not be in lowest terms with N, since a valuation does
-    not depend on how a fraction is written.  Entry (i, j) passes when
-    p^k divides its numerator, k = bounds[i][j] + v(den); the moduli are
-    computed here once, so the predicate can test many rows over the same
-    denominator.  ``_within`` tests one matrix by the same rule.
-    """
-    vden = _int_valuation(den, p)
-    moduli = [_modulus(b + vden, p) for row in bounds for b in row]
-    test = operator.and_ if p == 2 else operator.mod
+        moduli = [(1 << k) - 1 if k > 0 else 0 for row in bounds for b in row for k in [b + vden]]
+        test = operator.and_
+    else:
+        moduli = [p**k if k > 0 else 1 for row in bounds for b in row for k in [b + vden]]
+        test = operator.mod
+    flat = itertools.chain.from_iterable
 
     def within(rows: Sequence[Sequence[int]]) -> bool:
-        return not any(map(test, itertools.chain.from_iterable(rows), moduli))
+        return not any(map(test, flat(rows), moduli))
 
     return within
 
 
-def _within(
-    rows: Sequence[Sequence[int]], bounds: Sequence[Sequence[int]], den: int, p: int
-) -> bool:
-    """``_valuation_test(bounds, den, p)(rows)`` for a single matrix: the
-    same test, entry by entry, stopping at the first entry that fails."""
-    vden = _int_valuation(den, p)
-    test = operator.and_ if p == 2 else operator.mod
-    for row, brow in zip(rows, bounds):
-        for x, b in zip(row, brow):
-            k = b + vden
-            if k > 0 and test(x, _modulus(k, p)):
-                return False
-    return True
-
-
 def in_split_order(A: LocalMatrix, nu: ExponentMatrix) -> bool:
-    """Whether every entry of A has valuation at least the matching exponent."""
+    """Whether every entry of A has valuation at least the matching
+    exponent, by the cached test for (nu, v(A.den), p)."""
     if A.n != nu.n:
         raise DimensionMismatchError(
             f"matrix has n = {A.n} but exponents have n = {nu.n}"
         )
-    return _within(A.nums, nu.entries, A.den, A.prime)
+    return _membership_test(nu.entries, _int_valuation(A.den, A.prime), A.prime)(A.nums)
 
 
 def lambda_membership(A: LocalMatrix, v: ApartmentVertex) -> bool:
     """Whether A lies in the maximal order at vertex v.
 
-    Entry (i, j) must have valuation at least m_i - m_j; the criterion
-    only depends on the homothety class of v.
+    The maximal order is the split order S(nu) with nu[i][j] = m_i - m_j,
+    so this is ``in_split_order`` against ``maximal_order_exponents(v)``;
+    the criterion only depends on the homothety class of v.
     """
     if A.n != v.n:
         raise DimensionMismatchError(f"matrix has n = {A.n} but vertex has n = {v.n}")
-    m = v.m
-    bounds = [[mi - mj for mj in m] for mi in m]
-    return _within(A.nums, bounds, A.den, A.prime)
+    return in_split_order(A, maximal_order_exponents(v))
 
 
 def conjugate(xi: LocalMatrix, A: LocalMatrix) -> LocalMatrix:
@@ -827,7 +805,7 @@ def diagonal_witness(form: HermiteForm) -> LocalMatrix:
     adj, d = _adjugate(X)
     if d == 0:
         raise SingularInputError("matrix is singular")
-    integral = _valuation_test([[0] * n] * n, abs(d), p)
+    integral = _membership_test(((0,) * n,) * n, _int_valuation(d, p), p)
     for bits in itertools.product((0, 1), repeat=n):
         XD = [tuple([x * b for x, b in zip(row, bits)]) for row in X]
         if not integral(_mul_rows(XD, adj)):
@@ -856,12 +834,16 @@ def elementary_divisors(L: LocalMatrix, Lp: LocalMatrix) -> tuple[int, ...]:
     Raises SingularInputError when either basis is singular.
     """
     L._require_compatible(Lp)
-    p = L.prime
-    n = L.n
-    adj_l, det_l = _adjugate(L.nums)
+    return _divisor_exponents(L.nums, L.den, Lp.nums, Lp.den, L.prime)
+
+
+def _divisor_exponents(l_nums: Sequence, l_den: int, lp_nums: Sequence, lp_den: int, p: int):
+    """``elementary_divisors`` of l_nums / l_den and lp_nums / lp_den, in lowest terms or not."""
+    n = len(l_nums)
+    adj_l, det_l = _adjugate(l_nums)
     if det_l == 0:
         raise SingularInputError("matrix is singular")
-    N = _mul_rows(adj_l, Lp.nums)
+    N = _mul_rows(adj_l, lp_nums)
     if n <= 3:
         adj, d = _adjugate(N)
         chain = itertools.chain.from_iterable
@@ -872,7 +854,7 @@ def elementary_divisors(L: LocalMatrix, Lp: LocalMatrix) -> tuple[int, ...]:
         minors = _eliminate([list(row) for row in N], _least_valuation(p, full=True))[0]
     if len(minors) < n:
         raise SingularInputError("lattice basis is singular")
-    vden = _int_valuation(det_l, p) + _int_valuation(Lp.den, p) - _int_valuation(L.den, p)
+    vden = _int_valuation(det_l, p) + _int_valuation(lp_den, p) - _int_valuation(l_den, p)
     vals = [0] + [_int_valuation(m, p) for m in minors]
     return tuple(sorted(vals[t + 1] - vals[t] - vden for t in range(n)))
 
@@ -1000,7 +982,7 @@ def ring_closure_check(
     rng = random.Random(seed)
     draw, den = _sharp_sampler(nu, p)
     # every product is an integer matrix over den^2, tested as it stands
-    within = _valuation_test(nu.entries, den * den, p)
+    within = _membership_test(nu.entries, 2 * _int_valuation(den, p), p)
     for _ in range(trials):
         a = draw(rng)
         b = draw(rng)

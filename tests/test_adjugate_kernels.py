@@ -17,14 +17,21 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import divisors_by_minors, frac_gauss_jordan, frac_matmul
-from splitorders.apartments import Apartment, GeneralSplitOrder, general_membership
+from _oracles import divisors_by_minors, frac_gauss_jordan, frac_matmul, frac_within
+from splitorders.apartments import (
+    Apartment,
+    GeneralSplitOrder,
+    divisor_invariance_check,
+    general_membership,
+)
 from splitorders.correspondence import ApartmentVertex, intersect_maximal
 from splitorders.dvr import (
     HermiteForm,
     LocalMatrix,
+    _divisor_exponents,
+    _membership_test,
+    _mul_rows,
     _triple_product,
-    _valuation_test,
     diagonal_witness,
     elementary_divisors,
     hermite_normal_form,
@@ -116,6 +123,51 @@ def test_singular_bases_keep_their_errors(n):
         rank_one = LocalMatrix([[Fraction(1, 2)] * n for _ in range(n)], p)
         with pytest.raises(SingularInputError, match="^lattice basis is singular$"):
             elementary_divisors(regular, rank_one)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _maybe_singular(rng, n, p):
+    """A random basis; a quarter of them repeat a scaled row, so are singular."""
+    rows = [[_entry(rng, p) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.25:
+        rows[-1] = [p * x for x in rows[0]]
+    return LocalMatrix(rows, p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_divisor_invariance_reads_raw_transported_products(p):
+    """The transported pair is read off raw products over the product of
+    the denominators; the divisors, verdicts and errors are those of the
+    route through the lowest-terms products gamma @ L and gamma @ Lp."""
+    rng = random.Random(2400 + p)
+    verdicts = set()
+    for n in (2, 3, 4):
+        for _ in range(40 if n < 4 else 15):
+            gamma, L, Lp = (_maybe_singular(rng, n, p) for _ in range(3))
+            raw = _outcome(_divisor_exponents, _mul_rows(gamma.nums, L.nums), gamma.den * L.den,
+                           _mul_rows(gamma.nums, Lp.nums), gamma.den * Lp.den, p)
+            assert raw == _outcome(lambda: elementary_divisors(gamma @ L, gamma @ Lp))
+            want = _outcome(lambda: elementary_divisors(L, Lp) == elementary_divisors(
+                gamma @ L, gamma @ Lp))
+            assert _outcome(divisor_invariance_check, gamma, L, Lp) == want
+            verdicts.add(want if type(want) is bool else want[1])
+    assert verdicts == {True, "matrix is singular", "lattice basis is singular"}
+    # size and prime mismatches raise as the lowest-terms route does
+    L = LocalMatrix.identity(2, p)
+    for gamma, Lp in ((LocalMatrix.identity(3, p), L), (LocalMatrix.identity(2, 7), L),
+                      (L, LocalMatrix.identity(3, p)), (L, LocalMatrix.identity(2, 7)),
+                      (LocalMatrix.identity(3, 7), L)):
+        want = _outcome(lambda: elementary_divisors(L, Lp) == elementary_divisors(
+            gamma @ L, gamma @ Lp))
+        assert type(want) is tuple
+        assert _outcome(divisor_invariance_check, gamma, L, Lp) == want
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +263,17 @@ def test_hermite_transform_over_a_unit_denominator():
 
 
 # ---------------------------------------------------------------------------
-# membership with one compiled test per denominator valuation
+# membership through the cached test per (bounds, v(den), p)
+
+
+def _meet_many_orders(p):
+    """Ask membership of more than 64 distinct orders, once each; the
+    cached tests stay within the cache's bound."""
+    for k in range(70):
+        S = GeneralSplitOrder(Apartment.standard(2, p),
+                              intersect_maximal([ApartmentVertex([0, k])]))
+        assert general_membership(S, LocalMatrix.identity(2, p))
+    assert _membership_test.cache_info().currsize <= 64
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -226,7 +288,6 @@ def test_general_membership_keeps_one_test_per_valuation(p):
                       for _ in range(rng.randint(1, 3))]
             S = GeneralSplitOrder(ap, intersect_maximal(family))
             left, right = ap._gamma_inv, ap.gamma
-            seen = set()
             for k in range(30):
                 if k % 2:
                     A = LocalMatrix([[_entry(rng, p) for _ in range(n)] for _ in range(n)], p)
@@ -237,22 +298,23 @@ def test_general_membership_keeps_one_test_per_valuation(p):
                     A = ap.from_standard(LocalMatrix(inner, p))
                 den = left.den * A.den * right.den
                 rows = frac_matmul(frac_matmul(left.nums, A.nums), right.nums)
-                want = _valuation_test(S.nu.entries, den, p)(rows)
+                pulled = [[Fraction(x, den) for x in row] for row in rows]
+                want = frac_within(pulled, S.nu.entries, p)
                 outcomes.add(want)
                 assert general_membership(S, A) == want
-                v = 0
-                while den % p ** (v + 1) == 0:
-                    v += 1
-                seen.add(v)
-                assert set(S._tests) == seen
     assert outcomes == {True, False}
+    _meet_many_orders(p)
 
 
 def test_a_fresh_order_starts_with_no_tests():
+    """An order holds its apartment and exponents and nothing else, before
+    and after membership calls."""
     S = GeneralSplitOrder(Apartment.standard(2, 3),
                           intersect_maximal([ApartmentVertex([0, 1])]))
-    assert S._tests == {}
-    A = LocalMatrix([[1, Fraction(1, 9)], [3, 1]], 3)
-    assert general_membership(S, A) is False
-    assert general_membership(S, LocalMatrix([[1, Fraction(1, 3)], [3, 1]], 3)) is True
-    assert set(S._tests) == {2, 1}
+    assert GeneralSplitOrder.__slots__ == ("apartment", "nu")
+    cases = (([[1, Fraction(1, 9)], [3, 1]], False), ([[1, Fraction(1, 3)], [3, 1]], True))
+    for rows, want in cases:
+        assert frac_within([[Fraction(x) for x in row] for row in rows], S.nu.entries, 3) is want
+        assert general_membership(S, LocalMatrix(rows, 3)) is want
+    assert not hasattr(S, "__dict__")
+    _meet_many_orders(3)

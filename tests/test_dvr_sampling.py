@@ -118,10 +118,12 @@ def test_ring_closure_sampled_witness_matches_fraction_reference(monkeypatch):
     def escapes(rows):
         return rows[0][0].numerator % (p * p) == 1
 
-    def stricter_test(bounds, den, prime):
+    def stricter_test(bounds, vden, prime):
+        # den is a power of p here, so p^vden is the products' den^2
+        den = prime**vden
         return lambda rows: not escapes([[Fraction(x, den) for x in row] for row in rows])
 
-    monkeypatch.setattr(dvr, "_valuation_test", stricter_test)
+    monkeypatch.setattr(dvr, "_membership_test", stricter_test)
     entries = [[0, -1, 0], [1, 0, 1], [0, -1, 0]]  # an order with denominator p
     outcomes = set()
     for p in (2, 3, 5):

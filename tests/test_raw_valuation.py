@@ -1,10 +1,11 @@
 """Membership tested on raw integer rows over a denominator.
 
-``dvr._valuation_test`` reads valuations off numerators that need not be
-in lowest terms with their denominator; these tests hold it, the
-single-matrix ``dvr._within`` and the membership tests built on them to
-a Fraction oracle that reduces every entry first.  They also pin the written-out lowest-terms division and
-the argument checks of ``ring_closure_check``.
+``dvr._membership_test`` reads valuations off numerators that need not
+be in lowest terms with their denominator, given that denominator's
+valuation; these tests hold it and the membership tests built on it to
+a Fraction oracle that reduces every entry first.  They also pin the
+written-out lowest-terms division and the argument checks of
+``ring_closure_check``.
 """
 
 import math
@@ -50,6 +51,11 @@ def _near_bounds(rng, fracs, p):
     ]
 
 
+def _test(bounds, den, p):
+    """The cached predicate for ``bounds`` over a denominator ``den``."""
+    return dvr._membership_test(tuple(map(tuple, bounds)), padic_valuation(Fraction(den), p), p)
+
+
 def _raw(fracs, extra):
     """Integer rows over a common denominator, both multiplied by ``extra``,
     so the pair is not in lowest terms when extra > 1."""
@@ -68,9 +74,10 @@ def test_raw_test_matches_fraction_oracle(p):
             bounds = _near_bounds(rng, fracs, p)
             want = frac_within(fracs, bounds, p)
             outcomes.add(want)
+            # raw rows over a denominator, in lowest terms or not
             for extra in (1, p, p**3, 6 * p, 35):
                 rows, den = _raw(fracs, extra)
-                assert dvr._valuation_test(bounds, den, p)(rows) == want
+                assert _test(bounds, den, p)(rows) == want
     assert outcomes == {True, False}
 
 
@@ -80,7 +87,7 @@ def test_raw_test_reuses_its_moduli_across_rows():
     for p in PRIMES:
         bounds = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         den = p**2 * 3
-        test = dvr._valuation_test(bounds, den, p)
+        test = _test(bounds, den, p)
         for _ in range(100):
             rows = [[rng.randint(-500, 500) * p ** rng.randint(0, 5) for _ in range(3)]
                     for _ in range(3)]
@@ -92,29 +99,25 @@ def test_raw_test_on_negative_numerators_at_two():
     """The p = 2 mask reads the low bits of negative numerators exactly."""
     for x in range(-70, 71):
         for k in range(-2, 8):
-            assert dvr._valuation_test([[k]], 1, 2)([[x]]) == (x == 0 or x % 2 ** max(k, 0) == 0)
+            assert _test([[k]], 1, 2)([[x]]) == (x == 0 or x % 2 ** max(k, 0) == 0)
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_single_matrix_test_matches_the_predicate(p):
-    """``_within`` stops at the first failing entry; on raw rows, lowest
-    terms or not, it decides as ``_valuation_test`` does."""
-    rng = random.Random(3000 + p)
-    outcomes = set()
-    for n in (1, 2, 3, 4):
-        for _ in range(150):
-            fracs = [[_entry(rng, p) for _ in range(n)] for _ in range(n)]
-            bounds = _near_bounds(rng, fracs, p)
-            for extra in (1, p, p**3, 6 * p, 35):
-                rows, den = _raw(fracs, extra)
-                want = dvr._valuation_test(bounds, den, p)(rows)
-                assert dvr._within(rows, bounds, den, p) == want
-                outcomes.add(want)
-    assert outcomes == {True, False}
+def test_raw_test_on_single_entries_matches_fraction_oracle(p):
+    """One-entry rows, over denominators in and out of lowest terms with
+    their numerator, against the oracle on the reduced fraction."""
     for x in range(-70, 71):
         for k in range(-2, 8):
             for den in (1, p, p**2 * 3):
-                assert dvr._within([[x]], [[k]], den, p) == dvr._valuation_test([[k]], den, p)([[x]])
+                want = frac_within([[Fraction(x, den)]], [[k]], p)
+                assert _test([[k]], den, p)([[x]]) == want
+
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("read past the first failing entry")
+
+    # entry (0, 0) fails, so the row after it is never read
+    assert _test([[1, 0], [0, 0]], 1, p)([[1, 0], Unread()]) is False
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -222,7 +225,7 @@ def test_ring_closure_check_refuses_non_integer_arguments(kwargs, error, message
 def test_ring_closure_check_reads_integral_floats_as_ints(monkeypatch):
     """With a stricter test the witness depends on the seed and the trial
     count, and 50.0 and 9.0 give the witness of 50 and 9."""
-    monkeypatch.setattr(dvr, "_valuation_test", lambda bounds, den, p: lambda rows: rows[0][0] % 7)
+    monkeypatch.setattr(dvr, "_membership_test", lambda bounds, vden, p: lambda rows: rows[0][0] % 7)
     want = ring_closure_check(_ORDER, trials=50, seed=9, prime=5)
     assert want is not True
     assert ring_closure_check(_ORDER, trials=50.0, seed=9.0, prime=5) == want

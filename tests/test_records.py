@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import splitorders
-from splitorders.apartments import Apartment, GeneralSplitOrder
+from splitorders.apartments import Apartment, GeneralSplitOrder, general_membership
 from splitorders.correspondence import ApartmentVertex, RoundtripReport, verify_roundtrip
 from splitorders.dvr import HermiteForm, LocalMatrix, LocalScalar, hermite_normal_form
 from splitorders.exponent import ExponentMatrix
@@ -148,7 +148,7 @@ SLOTTED = {
     "general-split-order": (
         lambda: GeneralSplitOrder(_apartment(), ExponentMatrix([[0, 1], [0, 0]])),
         f"GeneralSplitOrder(Apartment({GAMMA}), ExponentMatrix([[0, 1], [0, 0]]))",
-        ("apartment", "nu", "_tests"),
+        ("apartment", "nu"),
     ),
 }
 
@@ -264,6 +264,28 @@ def test_pickle_and_copy_round_trips(frozen):
         assert repr(clone) == expected
     with pytest.raises(AttributeError):
         copy.copy(obj).other = 1
+
+
+def test_split_order_round_trips_after_membership():
+    """Membership leaves nothing on the order: after membership calls it
+    pickles at protocols 2 and up, copies and deep-copies to an equal
+    order that answers alike and holds only its two frozen fields."""
+    S = GeneralSplitOrder(_apartment(), ExponentMatrix([[0, 1], [0, 0]]))
+    elements = [
+        LocalMatrix(rows, 2)
+        for rows in ([[1, 0], [0, 1]], [[1, "1/2"], [0, 1]], [[0, 1], [0, 0]], [[0, 2], [0, 0]])
+    ]
+    answers = [general_membership(S, A) for A in elements]
+    assert answers == [True, False, False, True]
+    clones = [pickle.loads(pickle.dumps(S, protocol))
+              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in [*clones, copy.copy(S), copy.deepcopy(S)]:
+        assert type(clone) is GeneralSplitOrder
+        assert clone == S
+        assert [general_membership(clone, A) for A in elements] == answers
+        assert not hasattr(clone, "__dict__")
+        assert type(clone).__slots__ == ("apartment", "nu")
+    assert copy.deepcopy(S).apartment is not S.apartment
 
 
 @pytest.mark.parametrize("protocol", [0, 1])
