@@ -266,16 +266,6 @@ def test_hermite_transform_over_a_unit_denominator():
 # membership through the cached test per (bounds, v(den), p)
 
 
-def _meet_many_orders(p):
-    """Ask membership of more than 64 distinct orders, once each; the
-    cached tests stay within the cache's bound."""
-    for k in range(70):
-        S = GeneralSplitOrder(Apartment.standard(2, p),
-                              intersect_maximal([ApartmentVertex([0, k])]))
-        assert general_membership(S, LocalMatrix.identity(2, p))
-    assert _membership_test.cache_info().currsize <= 64
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_general_membership_keeps_one_test_per_valuation(p):
     rng = random.Random(2100 + p)
@@ -303,18 +293,21 @@ def test_general_membership_keeps_one_test_per_valuation(p):
                 outcomes.add(want)
                 assert general_membership(S, A) == want
     assert outcomes == {True, False}
-    _meet_many_orders(p)
 
 
 def test_a_fresh_order_starts_with_no_tests():
     """An order holds its apartment and exponents and nothing else, before
-    and after membership calls."""
+    and after membership calls; the calls read one cached test per
+    valuation of the pull-back denominator."""
     S = GeneralSplitOrder(Apartment.standard(2, 3),
                           intersect_maximal([ApartmentVertex([0, 1])]))
     assert GeneralSplitOrder.__slots__ == ("apartment", "nu")
     cases = (([[1, Fraction(1, 9)], [3, 1]], False), ([[1, Fraction(1, 3)], [3, 1]], True))
-    for rows, want in cases:
-        assert frac_within([[Fraction(x) for x in row] for row in rows], S.nu.entries, 3) is want
-        assert general_membership(S, LocalMatrix(rows, 3)) is want
+    _membership_test.cache_clear()
+    for _ in range(3):
+        for rows, want in cases:
+            assert frac_within([[Fraction(x) for x in row] for row in rows], S.nu.entries, 3) is want
+            assert general_membership(S, LocalMatrix(rows, 3)) is want
+    info = _membership_test.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
     assert not hasattr(S, "__dict__")
-    _meet_many_orders(3)

@@ -10,6 +10,7 @@ written-out lowest-terms division and the argument checks of
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,28 @@ def test_raw_test_on_single_entries_matches_fraction_oracle(p):
 
     # entry (0, 0) fails, so the row after it is never read
     assert _test([[1, 0], [0, 0]], 1, p)([[1, 0], Unread()]) is False
+
+
+def test_large_exponents_build_no_modulus_past_a_failing_entry():
+    """At p = 3 a bound of 10^6 asks for a modulus of about 198 KB.  A
+    matrix whose entry (0, 0) fails is refused without building it, and
+    the moduli of a passing call, past 4096 bits, are not kept."""
+    big = 10**6
+    nu = ExponentMatrix([[0, big], [big, 0]])
+    fails = LocalMatrix([[Fraction(1, 3), 0], [0, 1]], 3)
+    tracemalloc.start()
+    try:
+        assert in_split_order(fails, nu) is False
+        assert lambda_membership(fails, ApartmentVertex([0, big])) is False
+        peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        assert in_split_order(LocalMatrix.identity(2, 3), nu) is True
+        assert in_split_order(LocalMatrix.identity(2, 3), nu) is True
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+    assert kept < 50_000
 
 
 @pytest.mark.parametrize("p", PRIMES)
