@@ -8,12 +8,14 @@ pair.  Commands print results and raise; only ``main`` prints ``error:``.
 ``UsageError`` exits 2, as does a ``fuzz`` range whose widest region box,
 (2 max(--max, 0) + 1)^(--n - 1) cells, is over the enumeration guard.
 Other ``SplitOrderError``s exit 1: a negative cycle, a region over the
-guard, an empty or mixed vertex list, ``hijikata`` at n != 2, ``draw``
-at n != 3, an exponent matrix with n over ``MAX_INPUT_DIMENSION``
-(256), refused on loading before any closure is computed, and an
-``intersect`` vertex list in which a vertex has more than
-``MAX_INPUT_DIMENSION`` coordinates, refused on loading before any
-intersection is computed.
+guard, a ``draw`` window (the box widened by 1.5 lattice steps) over
+the guard, checked for an empty region too, and so refusing a region
+whose box passes the guard but whose window does not, an empty or mixed
+vertex list, ``hijikata`` at n != 2, ``draw`` at n != 3, an exponent
+matrix with n over ``MAX_INPUT_DIMENSION`` (256), refused on loading
+before any closure is computed, and an ``intersect`` vertex list in
+which a vertex has more than ``MAX_INPUT_DIMENSION`` coordinates,
+refused on loading before any intersection is computed.
 """
 
 from __future__ import annotations

@@ -42,11 +42,12 @@ def intersect_maximal(vertices: Sequence[ApartmentVertex]) -> ExponentMatrix:
     ms = [v.m for v in vertices]
     if not ms:
         raise EmptyVertexListError("intersection over an empty vertex family")
-    if len(set(map(len, ms))) > 1:
-        raise DimensionMismatchError("vertices of different dimension")
     # column i holds coordinate i of every vertex; entry (i, j) is the
     # largest and entry (j, i) minus the least difference of columns i, j
-    cols = list(zip(*ms))
+    try:
+        cols = list(zip(*ms, strict=True))
+    except ValueError:
+        raise DimensionMismatchError("vertices of different dimension") from None
     n = len(cols)
     rows = [[0] * n for _ in range(n)]
     for j in range(1, n):

@@ -125,16 +125,20 @@ def _int_valuation(x: int, p: int):
     return v
 
 
+def _fraction_valuation(f: "Fraction", p: int):
+    """p-adic valuation of a Fraction, p a checked prime."""
+    if f == 0:
+        return INFINITE
+    v = _int_valuation(f.numerator, p)
+    if v == 0:
+        return -_int_valuation(f.denominator, p)
+    return v
+
+
 def rational_valuation(value: _RationalLike, prime: int):
     """p-adic valuation of an exact rational; zero has infinite valuation."""
     prime = check_prime(prime)
-    f = Fraction(_exact(value, "value"))
-    if f == 0:
-        return INFINITE
-    v = _int_valuation(f.numerator, prime)
-    if v == 0:
-        return -_int_valuation(f.denominator, prime)
-    return v
+    return _fraction_valuation(Fraction(_exact(value, "value")), prime)
 
 
 class LocalScalar(FrozenRecord):
@@ -144,11 +148,14 @@ class LocalScalar(FrozenRecord):
 
     def __init__(self, value: _RationalLike, prime: int):
         fields = self.__dict__
-        fields["value"] = Fraction(_exact(value, "value"))
+        # a Fraction, as every arithmetic result is, is kept as it is
+        if type(value) is not Fraction:
+            value = Fraction(_exact(value, "value"))
+        fields["value"] = value
         fields["prime"] = check_prime(prime)
 
     def valuation(self):
-        return rational_valuation(self.value, self.prime)
+        return _fraction_valuation(self.value, self.prime)
 
     def is_integral(self) -> bool:
         return self.value.denominator % self.prime != 0

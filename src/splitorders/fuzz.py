@@ -415,12 +415,11 @@ def box_scan_points(upper: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Filtered scan of the full bounding box, in lexicographic order."""
     n = len(upper)
     axes = [range(-upper[0][i], upper[i][0] + 1) for i in range(1, n)]
+    bounds = [(i, j, upper[i][j]) for i in range(n) for j in range(n) if i != j]
     out = []
     for tail in itertools.product(*axes):
         x = (0,) + tail
-        if all(
-            x[i] - x[j] <= upper[i][j] for i in range(n) for j in range(n) if i != j
-        ):
+        if all(x[i] - x[j] <= uij for i, j, uij in bounds):
             out.append(x)
     return out
 

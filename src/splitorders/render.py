@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import UnsupportedDimensionError
+from .errors import EnumerationLimitError, UnsupportedDimensionError
 from .exponent import ExponentMatrix, _cached_closure
-from .polytope import enumerate_lattice_points
+from .polytope import DEFAULT_POINT_LIMIT, enumerate_lattice_points
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -47,119 +47,89 @@ def render_polytope_svg(
 ) -> str:
     """SVG 1.1 document showing the region of a 3 x 3 exponent matrix.
 
-    Every integer apartment point of the viewing window is drawn as a
-    small gray dot, the points of the region as larger filled dots with
-    ids carrying their coordinates, and the six declared walls as lines
+    Every integer point of the viewing window, the region's box against
+    coordinate 0 widened by ``margin`` lattice steps, is drawn as a small
+    gray dot, the points of the region as larger filled dots with ids
+    carrying their coordinates, and the six declared walls as lines
     colored by family, dashed when the wall does not touch the region.
 
-    Raises UnsupportedDimensionError unless n = 3, and ValueError unless
-    ``scale`` is finite and positive and ``margin`` finite and non-negative.
+    Raises UnsupportedDimensionError unless n = 3, ValueError unless
+    ``scale`` is finite and positive and ``margin`` finite and non-negative,
+    and EnumerationLimitError when the box or the window has more than
+    ``DEFAULT_POINT_LIMIT`` cells.
     """
     if nu.n != 3:
         raise UnsupportedDimensionError(f"drawing needs n = 3, got n = {nu.n}")
     check_drawing_options(scale, margin)
-    # loaded here, not at module level: importing the package stays cheap
-    import xml.etree.ElementTree as ET
 
     u = nu.entries
     closed = _cached_closure(nu)
+    # first, so that a box over the guard keeps enumeration's message; an
+    # empty region returns [] here without its box being checked
     points = enumerate_lattice_points(nu)
 
-    # window in apartment coordinates, from the box against coordinate 0
-    x2_lo, x2_hi = min(-u[0][1], u[1][0]) - margin, max(-u[0][1], u[1][0]) + margin
-    x3_lo, x3_hi = min(-u[0][2], u[2][0]) - margin, max(-u[0][2], u[2][0]) + margin
+    # the window's integer cells are counted before any float is formed
+    lo2, hi2 = sorted((-u[0][1], u[1][0]))
+    lo3, hi3 = sorted((-u[0][2], u[2][0]))
+    steps = math.floor(margin)
+    cells = (hi2 - lo2 + 2 * steps + 1) * (hi3 - lo3 + 2 * steps + 1)
+    if cells > DEFAULT_POINT_LIMIT:
+        raise EnumerationLimitError(
+            f"drawing window has more than {DEFAULT_POINT_LIMIT} cells"
+        )
+    x2_lo, x2_hi = lo2 - margin, hi2 + margin
+    x3_lo, x3_hi = lo3 - margin, hi3 + margin
 
-    corners = [
-        apartment_to_plane(a, b)
-        for a in (x2_lo, x2_hi)
-        for b in (x3_lo, x3_hi)
-    ]
+    corners = [apartment_to_plane(a, b) for a in (x2_lo, x2_hi) for b in (x3_lo, x3_hi)]
     px_lo = min(c[0] for c in corners)
     px_hi = max(c[0] for c in corners)
     py_lo = min(c[1] for c in corners)
     py_hi = max(c[1] for c in corners)
     pad = 0.75 * scale
-    width = (px_hi - px_lo) * scale + 2 * pad
-    height = (py_hi - py_lo) * scale + 2 * pad
+    width = _fmt((px_hi - px_lo) * scale + 2 * pad)
+    height = _fmt((py_hi - py_lo) * scale + 2 * pad)
 
-    def to_screen(x2: float, x3: float) -> tuple[float, float]:
+    def to_screen(x2: float, x3: float) -> tuple[str, str]:
         px, py = apartment_to_plane(x2, x3)
-        return (pad + (px - px_lo) * scale, pad + (py_hi - py) * scale)
+        return _fmt(pad + (px - px_lo) * scale), _fmt(pad + (py_hi - py) * scale)
 
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "version": "1.1",
-            "width": _fmt(width),
-            "height": _fmt(height),
-            "viewBox": f"0 0 {_fmt(width)} {_fmt(height)}",
-        },
-    )
-    ET.SubElement(
-        root,
-        "rect",
-        {"x": "0", "y": "0", "width": _fmt(width), "height": _fmt(height),
-         "fill": "#ffffff"},
-    )
-
-    lattice = ET.SubElement(root, "g", {"id": "lattice", "fill": "#c8c8c8"})
-    for ix2 in range(math.ceil(x2_lo), math.floor(x2_hi) + 1):
-        for ix3 in range(math.ceil(x3_lo), math.floor(x3_hi) + 1):
-            sx, sy = to_screen(ix2, ix3)
-            ET.SubElement(
-                lattice,
-                "circle",
-                {"cx": _fmt(sx), "cy": _fmt(sy), "r": _fmt(0.06 * scale)},
-            )
-
-    # (label, constant, family, (i, j) for the attainment test)
-    walls = [
-        ("x2", -u[0][1], _X2_COLOR, (0, 1)),
-        ("x2", u[1][0], _X2_COLOR, (1, 0)),
-        ("x3", -u[0][2], _X3_COLOR, (0, 2)),
-        ("x3", u[2][0], _X3_COLOR, (2, 0)),
-        ("diff", -u[1][2], _DIFF_COLOR, (1, 2)),
-        ("diff", u[2][1], _DIFF_COLOR, (2, 1)),
+    # every attribute value is a _fmt number, a fixed color or a pt_ id, so
+    # nothing needs escaping; the window always holds a lattice cell
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg"'
+        f' version="1.1" width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff" />'
+        '<g id="lattice" fill="#c8c8c8">'
     ]
-    wall_group = ET.SubElement(root, "g", {"id": "walls", "fill": "none"})
-    for family, c, color, (i, j) in walls:
-        if family == "x2":
-            start = to_screen(c, x3_lo)
-            end = to_screen(c, x3_hi)
-        elif family == "x3":
-            start = to_screen(x2_lo, c)
-            end = to_screen(x2_hi, c)
-        else:
-            start = to_screen(x2_lo, x2_lo + c)
-            end = to_screen(x2_hi, x2_hi + c)
-        attrs = {
-            "x1": _fmt(start[0]),
-            "y1": _fmt(start[1]),
-            "x2": _fmt(end[0]),
-            "y2": _fmt(end[1]),
-            "stroke": color,
-            "stroke-width": "1.5",
-        }
-        supporting = bool(closed) and closed[i][j] == u[i][j]
-        if not supporting:
-            attrs["stroke-dasharray"] = "6 4"
-        ET.SubElement(wall_group, "line", attrs)
+    r = _fmt(0.06 * scale)
+    for ix2 in range(lo2 - steps, hi2 + steps + 1):
+        for ix3 in range(lo3 - steps, hi3 + steps + 1):
+            sx, sy = to_screen(ix2, ix3)
+            out.append(f'<circle cx="{sx}" cy="{sy}" r="{r}" />')
+    out.append('</g><g id="walls" fill="none">')
 
-    region = ET.SubElement(root, "g", {"id": "region", "fill": "#1a1a1a"})
+    # (i, j) of the wall's bound u[i][j], its color, and its two ends
+    for i, j, color, start, end in (
+        (0, 1, _X2_COLOR, (-u[0][1], x3_lo), (-u[0][1], x3_hi)),
+        (1, 0, _X2_COLOR, (u[1][0], x3_lo), (u[1][0], x3_hi)),
+        (0, 2, _X3_COLOR, (x2_lo, -u[0][2]), (x2_hi, -u[0][2])),
+        (2, 0, _X3_COLOR, (x2_lo, u[2][0]), (x2_hi, u[2][0])),
+        (1, 2, _DIFF_COLOR, (x2_lo, x2_lo - u[1][2]), (x2_hi, x2_hi - u[1][2])),
+        (2, 1, _DIFF_COLOR, (x2_lo, x2_lo + u[2][1]), (x2_hi, x2_hi + u[2][1])),
+    ):
+        (sx1, sy1), (sx2, sy2) = to_screen(*start), to_screen(*end)
+        supporting = bool(closed) and closed[i][j] == u[i][j]
+        dash = "" if supporting else ' stroke-dasharray="6 4"'
+        out.append(
+            f'<line x1="{sx1}" y1="{sy1}" x2="{sx2}" y2="{sy2}" stroke="{color}"'
+            f' stroke-width="1.5"{dash} />'
+        )
+
+    out.append('</g><g id="region" fill="#1a1a1a"' + (">" if points else " />"))
+    r = _fmt(0.12 * scale)
     for point in points:
         _, x2, x3 = point.m
         sx, sy = to_screen(x2, x3)
-        ET.SubElement(
-            region,
-            "circle",
-            {
-                "id": f"pt_{x2}_{x3}",
-                "cx": _fmt(sx),
-                "cy": _fmt(sy),
-                "r": _fmt(0.12 * scale),
-            },
-        )
-
-    body = ET.tostring(root, encoding="unicode")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+        out.append(f'<circle id="pt_{x2}_{x3}" cx="{sx}" cy="{sy}" r="{r}" />')
+    out.append("</g></svg>\n" if points else "</svg>\n")
+    return "".join(out)

@@ -1,12 +1,15 @@
 """Independent referee implementations used by the tests.
 
 Everything here is deliberately naive: exhaustive scans over simple
-cycles, simple paths, and bounding boxes.  None of it shares code with
+cycles, simple paths, and bounding boxes, and a drawing built as an
+ElementTree.  None of it shares code with
 the package, so a test that compares the two is comparing independent
 derivations.
 """
 
 import itertools
+import math
+import xml.etree.ElementTree as ET
 
 
 def simple_cycles_nonneg(entries):
@@ -270,3 +273,91 @@ def plain_random_unit_matrix(rng, n, p, steps=4):
                     new_row[r] = x
             rows = moved
     return rows
+
+
+def etree_region_svg(entries, scale=40.0, margin=1.5):
+    """SVG drawing of the region of a 3 x 3 exponent matrix, built as an
+    ElementTree and serialized once: the package's former renderer, with
+    the closure and the points taken from ``loop_minplus_closure`` and
+    ``naive_box_points``.  No argument checks."""
+    u = entries
+    closed = loop_minplus_closure(entries)
+    points = naive_box_points(entries)
+    fmt = "{:.2f}".format
+    sqrt3_2 = math.sqrt(3.0) / 2.0
+
+    def to_plane(x2, x3):
+        return (x2 + 0.5 * x3, sqrt3_2 * x3)
+
+    x2_lo, x2_hi = min(-u[0][1], u[1][0]) - margin, max(-u[0][1], u[1][0]) + margin
+    x3_lo, x3_hi = min(-u[0][2], u[2][0]) - margin, max(-u[0][2], u[2][0]) + margin
+    corners = [to_plane(a, b) for a in (x2_lo, x2_hi) for b in (x3_lo, x3_hi)]
+    px_lo = min(c[0] for c in corners)
+    px_hi = max(c[0] for c in corners)
+    py_lo = min(c[1] for c in corners)
+    py_hi = max(c[1] for c in corners)
+    pad = 0.75 * scale
+    width = (px_hi - px_lo) * scale + 2 * pad
+    height = (py_hi - py_lo) * scale + 2 * pad
+
+    def to_screen(x2, x3):
+        px, py = to_plane(x2, x3)
+        return (pad + (px - px_lo) * scale, pad + (py_hi - py) * scale)
+
+    root = ET.Element(
+        "svg",
+        {
+            "xmlns": "http://www.w3.org/2000/svg",
+            "version": "1.1",
+            "width": fmt(width),
+            "height": fmt(height),
+            "viewBox": f"0 0 {fmt(width)} {fmt(height)}",
+        },
+    )
+    ET.SubElement(
+        root,
+        "rect",
+        {"x": "0", "y": "0", "width": fmt(width), "height": fmt(height), "fill": "#ffffff"},
+    )
+    lattice = ET.SubElement(root, "g", {"id": "lattice", "fill": "#c8c8c8"})
+    for ix2 in range(math.ceil(x2_lo), math.floor(x2_hi) + 1):
+        for ix3 in range(math.ceil(x3_lo), math.floor(x3_hi) + 1):
+            sx, sy = to_screen(ix2, ix3)
+            ET.SubElement(lattice, "circle", {"cx": fmt(sx), "cy": fmt(sy), "r": fmt(0.06 * scale)})
+    walls = [
+        ("x2", -u[0][1], "#b03a2e", (0, 1)),
+        ("x2", u[1][0], "#b03a2e", (1, 0)),
+        ("x3", -u[0][2], "#1f618d", (0, 2)),
+        ("x3", u[2][0], "#1f618d", (2, 0)),
+        ("diff", -u[1][2], "#196f3d", (1, 2)),
+        ("diff", u[2][1], "#196f3d", (2, 1)),
+    ]
+    wall_group = ET.SubElement(root, "g", {"id": "walls", "fill": "none"})
+    for family, c, color, (i, j) in walls:
+        if family == "x2":
+            start, end = to_screen(c, x3_lo), to_screen(c, x3_hi)
+        elif family == "x3":
+            start, end = to_screen(x2_lo, c), to_screen(x2_hi, c)
+        else:
+            start, end = to_screen(x2_lo, x2_lo + c), to_screen(x2_hi, x2_hi + c)
+        attrs = {
+            "x1": fmt(start[0]),
+            "y1": fmt(start[1]),
+            "x2": fmt(end[0]),
+            "y2": fmt(end[1]),
+            "stroke": color,
+            "stroke-width": "1.5",
+        }
+        if closed is None or closed[i][j] != u[i][j]:
+            attrs["stroke-dasharray"] = "6 4"
+        ET.SubElement(wall_group, "line", attrs)
+    region = ET.SubElement(root, "g", {"id": "region", "fill": "#1a1a1a"})
+    for _, x2, x3 in points:
+        sx, sy = to_screen(x2, x3)
+        ET.SubElement(
+            region,
+            "circle",
+            {"id": f"pt_{x2}_{x3}", "cx": fmt(sx), "cy": fmt(sy), "r": fmt(0.12 * scale)},
+        )
+    body = ET.tostring(root, encoding="unicode")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"

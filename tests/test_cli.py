@@ -143,8 +143,26 @@ def test_hull_and_roundtrip_print_the_same_negative_cycle_line(tmp_path, capsys)
             "[[0, 1000, 1000], [1000, 0, 1000], [1000, 1000, 0]]",
             "bounding box has more than 1000000 cells",
         ),
+        (
+            ["draw", "--out", "x.svg"],
+            "[[0, 1200, 1200], [1200, 0, -5], [1200, -5, 0]]",
+            "drawing window has more than 1000000 cells",
+        ),
+        (
+            ["draw", "--out", "x.svg"],
+            "[[0, 0, 0], [998, 0, 0], [998, 0, 0]]",
+            "drawing window has more than 1000000 cells",
+        ),
     ],
-    ids=["intersect-empty", "intersect-mixed", "hijikata-n3", "draw-n2", "vertices-guard"],
+    ids=[
+        "intersect-empty",
+        "intersect-mixed",
+        "hijikata-n3",
+        "draw-n2",
+        "vertices-guard",
+        "draw-empty-window",
+        "draw-feasible-window",
+    ],
 )
 def test_domain_failures_exit_one_with_one_error_line(
     tmp_path, monkeypatch, capsys, argv, text, message

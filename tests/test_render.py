@@ -1,10 +1,13 @@
+import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from splitorders.errors import UnsupportedDimensionError
-from splitorders.exponent import ExponentMatrix
-from splitorders.polytope import contains, enumerate_lattice_points
+from _oracles import etree_region_svg
+from splitorders.errors import EnumerationLimitError, UnsupportedDimensionError
+from splitorders.exponent import ExponentMatrix, has_containing_maximal
+from splitorders.polytope import DEFAULT_POINT_LIMIT, contains, enumerate_lattice_points
 from splitorders.render import apartment_to_plane, render_polytope_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -109,3 +112,58 @@ def test_zero_margin_is_accepted():
     assert len(list(root.iter(f"{SVG}circle"))) == 16
     # the default margin shows the full figure: 25 lattice dots and 7 points
     assert len(list(_root(render_polytope_svg(ones)).iter(f"{SVG}circle"))) == 32
+
+
+def _sample_matrices(rng, count):
+    """The zero matrix, a one-point region and ``count`` random 3 x 3
+    matrices, feasible and infeasible."""
+    yield [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    yield [[0, -2, 1], [2, 0, 3], [-1, -3, 0]]
+    for _ in range(count):
+        yield [[0 if i == j else rng.randint(-3, 5) for j in range(3)] for i in range(3)]
+
+
+def test_writer_matches_the_elementtree_reference():
+    rng = random.Random(23)
+    kinds = set()
+    for rows in _sample_matrices(rng, 150):
+        nu = ExponentMatrix(rows)
+        kinds.add((has_containing_maximal(nu), len(enumerate_lattice_points(nu)) == 1))
+        for scale in (0.5, 7.5, 40.0, 123.456):
+            for margin in (0, 0.5, 1.5, 3):
+                expected = etree_region_svg(rows, scale=scale, margin=margin)
+                assert render_polytope_svg(nu, scale=scale, margin=margin) == expected
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_an_empty_region_draws_its_window_as_a_feasible_one_would():
+    """An empty region has no box check in enumeration; its window of
+    603^2 cells is under the guard and drawn as the lattice alone."""
+    empty = ExponentMatrix([[0, 300, 300], [300, 0, -5], [300, -5, 0]])
+    svg = render_polytope_svg(empty)
+    assert svg.count("<circle") == 603**2
+    assert svg.endswith('<g id="region" fill="#1a1a1a" /></svg>\n')
+
+
+WINDOW_OVER_THE_GUARD = [
+    ([[0, 1200, 1200], [1200, 0, -5], [1200, -5, 0]], 1.5),
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 10**4),
+    # a feasible region whose box passes the guard and whose window does not
+    ([[0, 0, 0], [998, 0, 0], [998, 0, 0]], 1.5),
+]
+
+
+@pytest.mark.parametrize("rows, margin", WINDOW_OVER_THE_GUARD, ids=["empty", "margin", "edge"])
+def test_a_window_over_the_guard_is_refused_before_drawing(rows, margin):
+    nu = ExponentMatrix(rows)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            EnumerationLimitError,
+            match=f"^drawing window has more than {DEFAULT_POINT_LIMIT} cells$",
+        ):
+            render_polytope_svg(nu, margin=margin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -2,8 +2,8 @@
 
 ``import splitorders`` and ``import splitorders.cli`` must not pull in
 ``dataclasses`` (which loads ``inspect``, ``ast``, ``dis`` and
-``tokenize``) or ``xml.etree.ElementTree``, which only drawing needs and
-``render_polytope_svg`` loads on first use.  Nor may they load
+``tokenize``) or ``xml.etree.ElementTree``, which drawing does not load
+either: ``render_polytope_svg`` writes its SVG as text.  Nor may they load
 ``fractions`` (which loads ``decimal``); the first Fraction built loads it.
 """
 
@@ -66,8 +66,7 @@ def test_import_loads_no_dataclasses_inspect_or_elementtree():
     probe = _probe()
     assert "splitorders.cli" in probe["added"]
     assert [m for m in NEVER_IMPORTED if m in probe["added"]] == []
-    # drawing loads ElementTree on first use
-    assert "xml.etree.ElementTree" in probe["after_draw"]
+    assert "xml.etree.ElementTree" not in probe["after_draw"]
 
 
 def test_import_loads_no_fractions_until_a_fraction_is_built():
