@@ -1,15 +1,26 @@
-"""Base of the package's immutable value classes."""
+"""Base of the package's immutable value classes; their equality and hash are decided here."""
 
 
 class Frozen:
-    """Refuses assignment and deletion of attributes.
+    """Refuses assignment and deletion of attributes; equal and hashed by ``_key``.
 
-    Subclasses write a slot once, through its descriptor's ``__set__`` bound
-    by name beside the class, and a ``FrozenRecord`` field straight into the
-    instance ``__dict__``, in about half the time ``object.__setattr__`` takes.
+    Two values are equal when they are of the same class and their ``_key()``
+    values are equal, and a value hashes as its key; a class that must stay
+    unhashable sets ``__hash__ = None``.  Subclasses write a slot once,
+    through its descriptor's ``__set__`` bound by name beside the class, in
+    about half the time ``object.__setattr__`` takes, and a ``FrozenRecord``
+    its fields through ``_set``.
     """
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -26,20 +37,18 @@ class Frozen:
 
 class FrozenRecord(Frozen):
     """Equality, hash and repr over the fields named in ``__match_args__``,
-    as a frozen dataclass has them."""
+    as a frozen dataclass has them; ``_set`` is the only writer of the fields."""
 
     __match_args__: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
+    def _set(self, *values) -> None:
+        """Write the fields, in ``__match_args__`` order, into the instance dict."""
+        fields = self.__dict__
+        for name, value in zip(self.__match_args__, values):
+            fields[name] = value
+
+    def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)

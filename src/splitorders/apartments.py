@@ -73,10 +73,10 @@ class Apartment(Frozen):
         """Push A out of the standard frame: gamma A gamma^(-1)."""
         return _triple_product(self.gamma, A, self._gamma_inv)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Apartment):
-            return NotImplemented
-        return self.gamma == other.gamma
+    def _key(self) -> LocalMatrix:
+        return self.gamma
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"Apartment({self.gamma!r})"
@@ -109,10 +109,10 @@ class GeneralSplitOrder(Frozen):
     def prime(self) -> int:
         return self.apartment.prime
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneralSplitOrder):
-            return NotImplemented
-        return self.apartment == other.apartment and self.nu == other.nu
+    def _key(self) -> tuple[Apartment, ExponentMatrix]:
+        return (self.apartment, self.nu)
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"GeneralSplitOrder({self.apartment!r}, {self.nu!r})"

@@ -10,12 +10,13 @@ pair.  Commands print results and raise; only ``main`` prints ``error:``.
 Other ``SplitOrderError``s exit 1: a negative cycle, a region over the
 guard, a ``draw`` window (the box widened by 1.5 lattice steps) over
 the guard, checked for an empty region too, and so refusing a region
-whose box passes the guard but whose window does not, an empty or mixed
-vertex list, ``hijikata`` at n != 2, ``draw`` at n != 3, an exponent
-matrix with n over ``MAX_INPUT_DIMENSION`` (256), refused on loading
-before any closure is computed, and an ``intersect`` vertex list in
-which a vertex has more than ``MAX_INPUT_DIMENSION`` coordinates,
-refused on loading before any intersection is computed.
+whose box passes the guard but whose window does not, a ``draw`` whose
+coordinates are past the float range, an empty or mixed vertex list,
+``hijikata`` at n != 2, ``draw`` at n != 3, an exponent matrix with n
+over ``MAX_INPUT_DIMENSION`` (256), refused on loading before any
+closure is computed, and an ``intersect`` vertex list in which a vertex
+has more than ``MAX_INPUT_DIMENSION`` coordinates, refused on loading
+before any intersection is computed.
 """
 
 from __future__ import annotations
@@ -217,14 +218,7 @@ def cmd_draw(ns: argparse.Namespace) -> int:
 
 def cmd_fuzz(ns: argparse.Namespace) -> int:
     try:
-        config = FuzzConfig(
-            n_max=ns.n_max,
-            entry_min=ns.entry_min,
-            entry_max=ns.entry_max,
-            trials=ns.trials,
-            seed=ns.seed,
-            prime=ns.prime,
-        )
+        config = FuzzConfig(**{k: v for k, v in vars(ns).items() if k != "subcommand"})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     report = run_fuzz(config)
@@ -274,15 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = matrix_command("draw", "render the region of a 3 x 3 matrix as SVG")
     p.add_argument("--out", required=True, dest="out_path", metavar="OUT", help="output SVG path")
     p.add_argument("--scale", type=float, default=40.0, help="pixels per lattice step")
-    p = sub.add_parser("fuzz", help="run the randomized invariant suites")
-    p.add_argument("--trials", type=int, default=10000, help="sample budget per suite")
-    p.add_argument("--seed", type=int, default=0, help="master seed, replayable")
-    p.add_argument(
-        "--n", type=int, default=4, dest="n_max", metavar="N", help="largest matrix dimension"
+    # the defaults are FuzzConfig's: a flag left out is not passed on
+    p = sub.add_parser(
+        "fuzz", help="run the randomized invariant suites", argument_default=argparse.SUPPRESS
     )
-    p.add_argument("--min", type=int, default=-3, dest="entry_min", help="smallest exponent")
-    p.add_argument("--max", type=int, default=5, dest="entry_max", help="largest exponent")
-    p.add_argument("--prime", type=int, default=2, help="residue characteristic")
+    p.add_argument("--trials", type=int, help="sample budget per suite")
+    p.add_argument("--seed", type=int, help="master seed, replayable")
+    p.add_argument("--n", type=int, dest="n_max", metavar="N", help="largest matrix dimension")
+    p.add_argument("--min", type=int, dest="entry_min", help="smallest exponent")
+    p.add_argument("--max", type=int, dest="entry_max", help="largest exponent")
+    p.add_argument("--prime", type=int, help="residue characteristic")
     return parser
 
 

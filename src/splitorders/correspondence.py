@@ -83,13 +83,7 @@ class RoundtripReport(FrozenRecord):
         input_reduced: bool,
         reduced_fixed: bool,
     ):
-        fields = self.__dict__
-        fields["nu"] = nu
-        fields["hull"] = hull
-        fields["vertices"] = vertices
-        fields["hull_fixed"] = hull_fixed
-        fields["input_reduced"] = input_reduced
-        fields["reduced_fixed"] = reduced_fixed
+        self._set(nu, hull, vertices, hull_fixed, input_reduced, reduced_fixed)
 
     @property
     def ok(self) -> bool:

@@ -147,12 +147,10 @@ class LocalScalar(FrozenRecord):
     __match_args__ = ("value", "prime")
 
     def __init__(self, value: _RationalLike, prime: int):
-        fields = self.__dict__
         # a Fraction, as every arithmetic result is, is kept as it is
         if type(value) is not Fraction:
             value = Fraction(_exact(value, "value"))
-        fields["value"] = value
-        fields["prime"] = check_prime(prime)
+        self._set(value, check_prime(prime))
 
     def valuation(self):
         return _fraction_valuation(self.value, self.prime)
@@ -591,17 +589,8 @@ class LocalMatrix(Frozen):
         rows = tuple([tuple([scale * x // g for x in row]) for row in adj])
         return _fill(object.__new__(LocalMatrix), self.n, self.prime, rows, abs(d) // g)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LocalMatrix):
-            return NotImplemented
-        return (
-            self.prime == other.prime
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.prime, self.den, self.nums))
+    def _key(self) -> tuple:
+        return (self.prime, self.den, self.nums)
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -726,9 +715,7 @@ class HermiteForm(FrozenRecord):
     __match_args__ = ("matrix", "exponents")
 
     def __init__(self, matrix: LocalMatrix, exponents: tuple[int, ...]):
-        fields = self.__dict__
-        fields["matrix"] = matrix
-        fields["exponents"] = exponents
+        self._set(matrix, exponents)
 
     def is_diagonal(self) -> bool:
         return self.matrix.is_diagonal()

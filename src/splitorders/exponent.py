@@ -112,13 +112,8 @@ class ExponentMatrix(Frozen):
         check_index_pair(i, j, self.n, "entry")
         return self.entries[i][j]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExponentMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+    def _key(self) -> tuple[tuple[int, ...], ...]:
+        return self.entries
 
     def __repr__(self) -> str:
         rows = ", ".join(repr(list(row)) for row in self.entries)

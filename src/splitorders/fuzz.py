@@ -138,24 +138,14 @@ class FuzzConfig(FrozenRecord):
                 f"entry range too wide: a region box at n = {n_max} can have {cells} "
                 f"cells, more than {DEFAULT_POINT_LIMIT}"
             )
-        fields = self.__dict__
-        fields["n_min"] = n_min
-        fields["n_max"] = n_max
-        fields["entry_min"] = entry_min
-        fields["entry_max"] = entry_max
-        fields["trials"] = trials
-        fields["seed"] = seed
-        fields["prime"] = prime
+        self._set(n_min, n_max, entry_min, entry_max, trials, seed, prime)
 
 
 class CheckResult(FrozenRecord):
     __match_args__ = ("name", "trials", "failure")
 
     def __init__(self, name: str, trials: int, failure: Optional[dict]):
-        fields = self.__dict__
-        fields["name"] = name
-        fields["trials"] = trials
-        fields["failure"] = failure
+        self._set(name, trials, failure)
 
     @property
     def ok(self) -> bool:
@@ -166,9 +156,7 @@ class FuzzReport(FrozenRecord):
     __match_args__ = ("seed", "results")
 
     def __init__(self, seed: int, results: tuple[CheckResult, ...]):
-        fields = self.__dict__
-        fields["seed"] = seed
-        fields["results"] = results
+        self._set(seed, results)
 
     @property
     def ok(self) -> bool:
@@ -359,12 +347,11 @@ def random_change_of_basis(
     return out @ LocalMatrix.power_diagonal(powers, prime)
 
 
-def random_triangular_form(
-    rng: random.Random, n: int, prime: int, max_exponent: int = 3
-) -> LocalMatrix:
-    """Matrix already in canonical triangular shape, built entry by entry."""
+def random_triangular_form(rng: random.Random, n: int, prime: int) -> LocalMatrix:
+    """Matrix already in canonical triangular shape, built entry by entry,
+    with diagonal exponents in [0, 3]."""
     p = prime
-    exps = _randints(rng, 0, max_exponent, n)
+    exps = _randints(rng, 0, 3, n)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = p ** exps[i]

@@ -60,13 +60,8 @@ class ApartmentVertex(Frozen):
     def n(self) -> int:
         return len(self.m)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ApartmentVertex):
-            return NotImplemented
-        return self.m == other.m
-
-    def __hash__(self) -> int:
-        return hash(self.m)
+    def _key(self) -> tuple[int, ...]:
+        return self.m
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, ApartmentVertex):

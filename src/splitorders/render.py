@@ -11,6 +11,7 @@ the region are dashed.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import EnumerationLimitError, UnsupportedDimensionError
 from .exponent import ExponentMatrix, _cached_closure
@@ -22,6 +23,8 @@ _X2_COLOR = "#b03a2e"
 _X3_COLOR = "#1f618d"
 _DIFF_COLOR = "#196f3d"
 
+_PAST_FLOAT_RANGE = "drawing coordinates are past the float range"
+
 
 def apartment_to_plane(x2: float, x3: float) -> tuple[float, float]:
     """Planar position of the apartment point (x_2, x_3) under the 60 degree basis."""
@@ -29,6 +32,8 @@ def apartment_to_plane(x2: float, x3: float) -> tuple[float, float]:
 
 
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise EnumerationLimitError(_PAST_FLOAT_RANGE)
     return f"{value:.2f}"
 
 
@@ -56,7 +61,7 @@ def render_polytope_svg(
     Raises UnsupportedDimensionError unless n = 3, ValueError unless
     ``scale`` is finite and positive and ``margin`` finite and non-negative,
     and EnumerationLimitError when the box or the window has more than
-    ``DEFAULT_POINT_LIMIT`` cells.
+    ``DEFAULT_POINT_LIMIT`` cells or a drawn coordinate is not a finite float.
     """
     if nu.n != 3:
         raise UnsupportedDimensionError(f"drawing needs n = 3, got n = {nu.n}")
@@ -77,6 +82,11 @@ def render_polytope_svg(
         raise EnumerationLimitError(
             f"drawing window has more than {DEFAULT_POINT_LIMIT} cells"
         )
+    # every int that becomes a float below is one of these or lies between
+    # two of them; _fmt refuses the inf or nan that float arithmetic can reach
+    ends = (lo2 - steps, hi2 + steps, lo3 - steps, hi3 + steps, u[1][2], u[2][1])
+    if max(map(abs, ends)) > sys.float_info.max:
+        raise EnumerationLimitError(_PAST_FLOAT_RANGE)
     x2_lo, x2_hi = lo2 - margin, hi2 + margin
     x3_lo, x3_hi = lo3 - margin, hi3 + margin
 

@@ -9,7 +9,7 @@ import pytest
 
 import splitorders
 from splitorders.cli import UsageError, build_parser, cmd_fuzz, main
-from splitorders.fuzz import FuzzConfig
+from splitorders.fuzz import FuzzConfig, FuzzReport
 
 NU = {"n": 3, "nu": [[0, 0, 1], [3, 0, 1], [3, 2, 0]]}
 NU_PRIME = {"n": 3, "nu": [[0, 0, 2], [3, 0, 1], [3, 2, 0]]}
@@ -131,6 +131,9 @@ def test_hull_and_roundtrip_print_the_same_negative_cycle_line(tmp_path, capsys)
         )
 
 
+PAST_THE_FLOAT_RANGE = "drawing coordinates are past the float range"
+
+
 @pytest.mark.parametrize(
     "argv, text, message",
     [
@@ -153,6 +156,14 @@ def test_hull_and_roundtrip_print_the_same_negative_cycle_line(tmp_path, capsys)
             "[[0, 0, 0], [998, 0, 0], [998, 0, 0]]",
             "drawing window has more than 1000000 cells",
         ),
+        *[
+            (["draw", "--out", "x.svg"], json.dumps({"nu": rows}), PAST_THE_FLOAT_RANGE)
+            for rows in (
+                [[0, -10**400, 0], [10**400, 0, 10**400], [0, -10**400, 0]],
+                [[0, 0, 0], [1, 0, 10**400], [1, 10**400, 0]],
+                [[0, 0, 0], [1, 0, 10**307], [1, 10**307, 0]],
+            )
+        ],
     ],
     ids=[
         "intersect-empty",
@@ -162,6 +173,9 @@ def test_hull_and_roundtrip_print_the_same_negative_cycle_line(tmp_path, capsys)
         "vertices-guard",
         "draw-empty-window",
         "draw-feasible-window",
+        "draw-float-corner",
+        "draw-float-diagonal",
+        "draw-float-inf",
     ],
 )
 def test_domain_failures_exit_one_with_one_error_line(
@@ -468,6 +482,24 @@ ABOVE_6 = "dimensions above 6 are not supported"
 def test_bad_fuzz_flags_exit_two_with_one_error_line(capsys, flags, message):
     assert main(["fuzz", *flags]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], FuzzConfig()),
+        (["--n", "3", "--seed", "2", "--max", "4"], FuzzConfig(n_max=3, seed=2, entry_max=4)),
+    ],
+    ids=["no-flags", "some-flags"],
+)
+def test_fuzz_flags_left_out_take_the_config_defaults(monkeypatch, capsys, flags, expected):
+    from splitorders import cli
+
+    configs = []
+    monkeypatch.setattr(cli, "run_fuzz", lambda config: configs.append(config) or FuzzReport(0, ()))
+    assert main(["fuzz", *flags]) == 0
+    assert configs == [expected]
+    assert capsys.readouterr().out == "seed: 0\n"
 
 
 def test_fuzz_usage_error_keeps_the_library_error_as_cause():

@@ -10,6 +10,7 @@ and pin that the plain classes behave the same.  ``ExponentMatrix``,
 refuse assignment and round-trip through pickle and copy alike.
 """
 
+import ast
 import copy
 import math
 import pickle
@@ -187,14 +188,16 @@ def test_equal_instances_and_hash(case):
         assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields))
 
 
-def test_other_types_are_not_implemented(case):
-    _, make, _, fields = case
+def test_other_types_are_not_implemented(frozen):
+    _, make, _, fields = frozen
     obj = make()
     plain = tuple(getattr(obj, f) for f in fields)
     assert obj.__eq__(plain) is NotImplemented
     assert obj.__eq__(object()) is NotImplemented
     assert obj != plain
     assert obj != None  # noqa: E711
+    assert obj.__eq__(obj._key()) is NotImplemented
+    assert obj != obj._key()
 
 
 def test_unequal_instances():
@@ -308,6 +311,28 @@ def test_slotted_classes_keep_no_instance_dict():
 def test_one_refusal_in_the_package():
     source = "".join(p.read_text() for p in Path(splitorders.__file__).parent.glob("*.py"))
     assert source.count("def __setattr__") == source.count("def __delattr__") == 1
+
+
+def test_one_equality_and_one_field_writer_in_the_package():
+    """``_record`` alone defines ``__eq__`` and ``__hash__`` and touches an
+    instance ``__dict__`` or ``object.__setattr__``."""
+    defined, writers = [], []
+    for path in sorted(Path(splitorders.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__"):
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Attribute) and node.attr in ("__dict__", "__setattr__"):
+                writers.append(path.name)
+    assert sorted(defined) == [("_record.py", "__eq__"), ("_record.py", "__hash__")]
+    assert set(writers) == {"_record.py"}
+
+
+def test_apartments_and_split_orders_stay_unhashable():
+    for name in ("apartment", "general-split-order"):
+        obj = SLOTTED[name][0]()
+        assert obj == SLOTTED[name][0]()
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(obj)
 
 
 def test_a_frame_cannot_change_under_its_inverse():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -167,3 +168,44 @@ def test_a_window_over_the_guard_is_refused_before_drawing(rows, margin):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+PAST_THE_FLOAT_RANGE = [
+    # a one-point region whose window corner is past the float range
+    ([[0, -10**400, 0], [10**400, 0, 10**400], [0, -10**400, 0]], 40.0),
+    # a small window whose diagonal walls are past the float range
+    ([[0, 0, 0], [1, 0, 10**400], [1, 10**400, 0]], 40.0),
+    # walls that convert to floats but whose screen positions are inf
+    ([[0, 0, 0], [1, 0, 10**307], [1, 10**307, 0]], 40.0),
+    # a window whose width is inf at this scale
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 1e308),
+]
+
+
+@pytest.mark.parametrize(
+    "rows, scale", PAST_THE_FLOAT_RANGE, ids=["corner", "diagonal", "diagonal-inf", "scale"]
+)
+def test_coordinates_past_the_float_range_are_refused(rows, scale):
+    """These raised OverflowError or drew ``inf`` into the SVG."""
+    with pytest.raises(
+        EnumerationLimitError, match="^drawing coordinates are past the float range$"
+    ):
+        render_polytope_svg(ExponentMatrix(rows), scale=scale)
+
+
+def test_walls_far_from_the_origin_draw_as_before():
+    """Walls at 10^30 are drawn, precision loss and all, as before the
+    float-range refusal (sha256 of the earlier output)."""
+    far = 10**30
+    for rows, digest in (
+        (
+            [[0, -far, 0], [far, 0, far], [0, -far, 0]],
+            "87e9ebb83597c898bbc49f9d8700a741466277bc05b67fad8e78a603170570a1",
+        ),
+        (
+            [[0, 0, 0], [1, 0, far], [1, far, 0]],
+            "336fc0d549a1a13a3c80a8e323bdbe09c7747007851db2747fd8ed34d9f0813c",
+        ),
+    ):
+        svg = render_polytope_svg(ExponentMatrix(rows))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
