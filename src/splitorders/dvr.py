@@ -24,7 +24,6 @@ import random
 from typing import Iterable, Optional, Sequence, Union
 
 from ._record import Frozen, FrozenRecord
-from .correspondence import ApartmentVertex
 from .errors import (
     AlreadyDiagonalError,
     DimensionMismatchError,
@@ -33,6 +32,7 @@ from .errors import (
     SingularInputError,
 )
 from .exponent import ExponentMatrix, _as_int, check_index_pair, first_violation, int_tuple
+from .polytope import ApartmentVertex
 
 INFINITE = math.inf  # valuation of zero
 
@@ -864,6 +864,24 @@ def _divisor_exponents(l_nums: Sequence, l_den: int, lp_nums: Sequence, lp_den: 
     return tuple(sorted(vals[t + 1] - vals[t] - vden for t in range(n)))
 
 
+def _below(draw, width: int) -> int:
+    """A uniform integer in [0, width), width >= 1, from ``draw``, an
+    ``rng.getrandbits``: r = draw(k), with k the bit length of width,
+    redrawn while r >= width.
+
+    Those are the words ``rng.randrange(width)`` reads on Python 3.10 to
+    3.13, so the value and the state left behind are the same, for
+    ``random.Random`` and any subclass unless it overrides ``random``
+    without ``getrandbits``: ``Random.__init_subclass__`` then switches
+    ``randrange`` to an algorithm built on ``random()``.
+    """
+    k = width.bit_length()
+    r = draw(k)
+    while r >= width:
+        r = draw(k)
+    return r
+
+
 # largest word size k whose 2^k words get a lookup table in _sharp_sampler
 _TABLE_BITS = 11
 
@@ -888,14 +906,11 @@ def _sharp_sampler(nu: ExponentMatrix, p: int):
     Returns ``(draw, den)``: ``draw(rng)`` gives the integer numerator rows
     of one element over the denominator ``den = p^shift``.  Entry (i, j)
     is a unit u, uniform on [1, p^4] and prime to p, times p^{nu[i][j]};
-    entries are drawn row by row.  u - 1 is drawn as ``rng.getrandbits(k)``
-    with k the bit length of p^4, redrawn while it is at least p^4 or u is
-    a multiple of p.  That is word for word what ``randrange(1, p^4 + 1)``
-    (the stream of ``randint(1, p^4)``) consumes, redrawn on multiples of
-    p, whenever ``randrange`` goes through ``getrandbits``: for
-    ``random.Random`` and any subclass that keeps its ``getrandbits``.
-    When k is at most _TABLE_BITS (p <= 5), each word is looked up in
-    ``_unit_table(p)`` instead of being tested.
+    entries are drawn row by row.  u is ``_below(rng.getrandbits, p^4) +
+    1``, the stream of ``randint(1, p^4)``, redrawn while p divides it.
+    When the bit length k of p^4 is at most _TABLE_BITS (p <= 5), each
+    word of k bits is looked up in ``_unit_table(p)`` instead, which
+    reads the same words.
     """
     bound = p**4
     k = bound.bit_length()
@@ -926,10 +941,10 @@ def _sharp_sampler(nu: ExponentMatrix, p: int):
         for row in scales:
             out = []
             for s in row:
-                r = getrandbits(k)
-                while r >= bound or (r + 1) % p == 0:
-                    r = getrandbits(k)
-                out.append((r + 1) * s)
+                u = _below(getrandbits, bound) + 1
+                while u % p == 0:
+                    u = _below(getrandbits, bound) + 1
+                out.append(u * s)
             rows.append(out)
         return rows
 
@@ -942,10 +957,9 @@ def sample_split_order_element(
     """Random element of S(nu) whose entries have valuation exactly nu[i][j].
 
     Each entry is a unit numerator, drawn uniformly from [1, p^4] coprime
-    to p, scaled by p^{nu[i][j]}.  The draws use ``rng.getrandbits`` and
-    leave ``rng`` where rejection sampling with ``rng.randrange(1, p^4 + 1)``
-    would: for ``random.Random``, and any subclass that keeps its
-    ``getrandbits``, the samples and the final state are the same.
+    to p, scaled by p^{nu[i][j]}.  The units are read through ``_below``,
+    so the samples and the final state are those of rejection sampling
+    with ``rng.randint(1, p^4)``.
     """
     p = check_prime(prime)
     draw, den = _sharp_sampler(nu, p)
@@ -966,8 +980,8 @@ def ring_closure_check(
     product escapes; for a non-order the witness is built deterministically
     from the first violated triple (i, k, j) as p^{nu[i][k]} E(i, k) and
     p^{nu[k][j]} E(k, j).  Pairs are drawn as by
-    ``sample_split_order_element`` from ``random.Random(seed)``, through
-    its ``getrandbits``, so a seed replays the stream of ``randrange``.
+    ``sample_split_order_element`` from ``random.Random(seed)``, so a
+    seed replays the stream of ``randint``.
 
     ``trials`` and ``seed`` are ints (an integral float reads as one; a
     bool or another non-integer raises TypeError), and ``trials`` must be

@@ -4,7 +4,10 @@ Every check draws all of its randomness from ``random.Random`` (the
 Mersenne Twister from the standard library) seeded deterministically from
 the single master seed in the configuration: check number i uses
 ``seed * 1000003 + i`` reduced mod 2**64.  Re-running with the same seed
-therefore replays the exact same inputs.
+therefore replays the exact same inputs.  Where a generator reads the
+words of ``randint``, ``sample`` or ``shuffle`` itself, it reads them
+through ``dvr._below`` (``_randints`` has it written out), so it leaves
+``rng`` where the plain calls would.
 
 Each check is one ``Check`` record, listed in ``_RECORDS``, and
 ``run_check`` runs them all the same way.  The trial budget
@@ -53,6 +56,7 @@ from .correspondence import (
 from .dvr import (
     LocalMatrix,
     LocalScalar,
+    _below,
     check_prime,
     conjugate,
     diagonal_witness,
@@ -179,21 +183,18 @@ class FuzzReport(FrozenRecord):
 
 
 def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
-    """``[rng.randint(lo, hi) for _ in range(count)]``, drawn straight from
-    ``rng.getrandbits``.
-
-    Each value draws r = getrandbits(k), with k the bit length of the width
-    hi - lo + 1, redraws while r >= width, and is lo + r.  That is word for
-    word what ``randint`` consumes, so the values and the state left behind
-    are the same, for ``random.Random`` and any subclass that keeps its
-    ``getrandbits``; only the layers of argument checks are skipped.
-    """
+    """``[rng.randint(lo, hi) for _ in range(count)]``: each value is lo
+    plus ``_below`` of the width, so the values and the state left behind
+    are those of ``randint``; only its layers of argument checks are
+    skipped."""
     width = hi - lo + 1
     if width < 1:
         raise ValueError(f"empty range [{lo}, {hi}]")
     k = width.bit_length()
     draw = rng.getrandbits
     out = []
+    # _below written out: calling it here put the fuzz benchmark's median
+    # latency 6.0% above this loop's (ten alternating 35 s pairs)
     for _ in range(count):
         r = draw(k)
         while r >= width:
@@ -223,15 +224,13 @@ def random_vertex(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> Apar
     return ApartmentVertex(_randints(rng, lo, hi, n))
 
 
-def random_integral_matrix(
-    rng: random.Random, n: int, prime: int, bound: Optional[int] = None
-) -> LocalMatrix:
+def random_integral_matrix(rng: random.Random, n: int, prime: int) -> LocalMatrix:
     """Integer matrix whose entries, row by row, are drawn from
-    [-bound, bound] (bound = p^3 by default) by ``_randints``."""
-    if bound is None:
-        bound = prime**3
+    [-p^3, p^3] by ``_randints``."""
+    p = check_prime(prime)
+    bound = p**3
     d = _randints(rng, -bound, bound, n * n)
-    return LocalMatrix([d[i * n : (i + 1) * n] for i in range(n)], prime)
+    return LocalMatrix([d[i * n : (i + 1) * n] for i in range(n)], p)
 
 
 def random_local_matrix(
@@ -240,30 +239,27 @@ def random_local_matrix(
     """Matrix with entries num * p^e for random num and e in [val_lo, val_hi].
 
     Entry by entry, row by row, num is drawn from [-p^3, p^3] and then e,
-    with the ``getrandbits`` words ``_randints`` consumes for each.
+    each as ``randint`` draws it, through ``_below``.
     """
-    bound = prime**3
-    num_width = 2 * bound + 1
+    p = check_prime(prime)
+    if n < 1:
+        raise ValueError("matrix must be square and nonempty")
     e_width = val_hi - val_lo + 1
     if e_width < 1:
         raise ValueError(f"empty range [{val_lo}, {val_hi}]")
-    num_k, e_k = num_width.bit_length(), e_width.bit_length()
+    bound = p**3
+    num_width = 2 * bound + 1
     shift = max(0, -val_lo)
-    base = val_lo + shift  # the exponent of the word e = 0, shifted
+    base = val_lo + shift  # p^(base + d) / p^shift is p^(val_lo + d)
     draw = rng.getrandbits
     rows = []
     for _ in range(n):
         row = []
         for _ in range(n):
-            num = draw(num_k)
-            while num >= num_width:
-                num = draw(num_k)
-            e = draw(e_k)
-            while e >= e_width:
-                e = draw(e_k)
-            row.append((num - bound) * prime ** (base + e))
+            num = _below(draw, num_width) - bound
+            row.append(num * p ** (base + _below(draw, e_width)))
         rows.append(row)
-    return LocalMatrix._from_raw(rows, prime**shift, prime)
+    return LocalMatrix._from_raw(rows, p**shift, p)
 
 
 def random_unit_matrix(
@@ -276,12 +272,12 @@ def random_unit_matrix(
     of units scales the columns, and the permutation matrix with ones at
     (r, perm[r]) moves column r to column perm[r].
 
-    Every choice is drawn from ``rng.getrandbits`` as ``_randints`` draws,
-    with the words that ``randrange(3)`` (the kind of step),
-    ``sample(range(n), 2)`` (the pair i, j, picked from a pool of n) and
-    ``shuffle`` (the permutation) consume; each unit's sign is
-    ``rng.random() < 0.5``.  So the matrix and the state left behind are
-    those of the plain calls.
+    Every integer is drawn through ``_below``, as ``randrange(3)`` (the
+    kind of step), ``sample(range(n), 2)`` (the pair i, j, picked from a
+    pool of n), ``randint`` (the multiplier and the units) and ``shuffle``
+    (the permutation) draw them; each unit's sign is ``rng.random() <
+    0.5``.  So the matrix and the state left behind are those of the plain
+    calls.
     """
     p = check_prime(prime)
     if n < 1:
@@ -289,46 +285,29 @@ def random_unit_matrix(
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     draw = rng.getrandbits
     q = p * p
-    c_width = 2 * q + 1
-    c_k, q_k = c_width.bit_length(), q.bit_length()
-    i_k, j_k = n.bit_length(), (n - 1).bit_length()
     for _ in range(steps):
-        kind = draw(2)
-        while kind == 3:
-            kind = draw(2)
+        kind = _below(draw, 3)
         if kind == 0 and n >= 2:
-            i = draw(i_k)
-            while i >= n:
-                i = draw(i_k)
+            i = _below(draw, n)
             # the pool's slot i now holds its last element, n - 1
-            j = draw(j_k)
-            while j >= n - 1:
-                j = draw(j_k)
+            j = _below(draw, n - 1)
             if j == i:
                 j = n - 1
-            c = draw(c_k)
-            while c >= c_width:
-                c = draw(c_k)
-            c -= q
+            c = _below(draw, 2 * q + 1) - q
             for row in rows:
                 row[j] += c * row[i]
         elif kind == 1:
             units = []
             for _ in range(n):
-                # a unit w in [1, p^2], as the word w - 1
-                w = draw(q_k)
-                while w >= q or (w + 1) % p == 0:
-                    w = draw(q_k)
-                w += 1
+                w = _below(draw, q) + 1
+                while w % p == 0:
+                    w = _below(draw, q) + 1
                 units.append(w if rng.random() < 0.5 else -w)
             rows = [list(map(operator.mul, row, units)) for row in rows]
         else:
             perm = list(range(n))
             for i in range(n - 1, 0, -1):
-                k = (i + 1).bit_length()
-                j = draw(k)
-                while j > i:
-                    j = draw(k)
+                j = _below(draw, i + 1)
                 perm[i], perm[j] = perm[j], perm[i]
             moved = [[0] * n for _ in range(n)]
             for new_row, row in zip(moved, rows):
@@ -350,7 +329,7 @@ def random_change_of_basis(
 def random_triangular_form(rng: random.Random, n: int, prime: int) -> LocalMatrix:
     """Matrix already in canonical triangular shape, built entry by entry,
     with diagonal exponents in [0, 3]."""
-    p = prime
+    p = check_prime(prime)
     exps = _randints(rng, 0, 3, n)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):

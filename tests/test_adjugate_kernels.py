@@ -267,7 +267,7 @@ def test_hermite_transform_over_a_unit_denominator():
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_general_membership_keeps_one_test_per_valuation(p):
+def test_general_membership_matches_the_fraction_pull_back(p):
     rng = random.Random(2100 + p)
     outcomes = set()
     for n in (2, 3, 4):
@@ -295,7 +295,7 @@ def test_general_membership_keeps_one_test_per_valuation(p):
     assert outcomes == {True, False}
 
 
-def test_a_fresh_order_starts_with_no_tests():
+def test_membership_calls_read_one_cached_test_per_valuation():
     """An order holds its apartment and exponents and nothing else, before
     and after membership calls; the calls read one cached test per
     valuation of the pull-back denominator."""

@@ -68,6 +68,14 @@ def test_general_split_order_dimension_check():
         GeneralSplitOrder(Apartment(LocalMatrix.identity(2, 2)), NU)
 
 
+def test_general_membership_refuses_a_size_or_prime_mismatch():
+    S = GeneralSplitOrder(Apartment.standard(2, 3), ExponentMatrix([[0, 0], [0, 0]]))
+    with pytest.raises(DimensionMismatchError, match="^matrix has n = 3 but order has n = 2$"):
+        general_membership(S, LocalMatrix.identity(3, 3))
+    with pytest.raises(ValueError, match="^prime mismatch: 5 vs 3$"):
+        general_membership(S, LocalMatrix.identity(2, 5))
+
+
 def test_standard_membership_reduces_to_in_split_order():
     S = GeneralSplitOrder(Apartment.standard(3, 2), NU)
     # p * E(1,3) lies in S since nu[0][2] = 1; so does the identity

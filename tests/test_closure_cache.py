@@ -96,7 +96,7 @@ def test_every_reader_shares_one_closure(closure_calls):
     assert len(closure_calls) == 1
 
 
-def test_a_polytope_fills_the_slot_of_its_matrix(closure_calls):
+def test_enumeration_fills_the_closure_slot_of_its_matrix(closure_calls):
     nu = ExponentMatrix([[0, 1, 4], [2, 0, 1], [0, 3, 0]])
     assert nu._closure is None
     points = enumerate_lattice_points(nu)

@@ -181,6 +181,9 @@ def test_scalar_arithmetic():
     assert LocalScalar(Fraction(6), 2).in_ideal(1)
     assert not LocalScalar(Fraction(6), 2).in_ideal(2)
     assert LocalScalar(Fraction(0), 2).in_ideal(10)
+    assert (a / b).value == 3 and (a / 2).value == Fraction(3, 8)
+    assert (-a).value == Fraction(-3, 4) and (-a).prime == 2
+    assert str(a) == "3/4 (v_2 = -2)"
 
 
 def test_scalar_prime_mismatch():
@@ -202,6 +205,7 @@ def test_valuation_matrix():
     A = LocalMatrix([["1/2", 3], [0, 20]], 2)
     assert A.valuation_matrix() == ((-1, 0), (INFINITE, 2))
     assert A.valuation(0, 0) == -1
+    assert A.valuation(1, 0) == INFINITE
     assert not A.is_integral()
     assert LocalMatrix([["1/3", 1], [1, 1]], 2).is_integral()
 
@@ -231,6 +235,28 @@ def test_dimension_and_prime_mismatch():
         LocalMatrix.identity(2, 2) @ LocalMatrix.identity(3, 2)
     with pytest.raises(ValueError):
         LocalMatrix.identity(2, 2) @ LocalMatrix.identity(2, 3)
+
+
+def test_local_matrix_refuses_ragged_or_empty_rows_and_a_non_positive_denominator():
+    for rows in ([[1, 2], [3]], []):
+        with pytest.raises(ValueError, match="^matrix must be square and nonempty$"):
+            LocalMatrix(rows, 3)
+    with pytest.raises(ValueError, match="^denominator must be positive$"):
+        LocalMatrix._from_raw([[1, 0], [0, 1]], 0, 3)
+
+
+@pytest.mark.parametrize("data", [{"prime": 2}, {"entries": [[1]]}, [[1]]])
+def test_from_json_dict_refuses_an_object_without_entries_or_prime(data):
+    with pytest.raises(ValueError, match="^expected an object with 'entries' and 'prime' fields$"):
+        LocalMatrix.from_json_dict(data)
+
+
+def test_membership_refuses_a_size_mismatch():
+    A = LocalMatrix.identity(3, 2)
+    with pytest.raises(DimensionMismatchError, match="^matrix has n = 3 but exponents have n = 2$"):
+        in_split_order(A, ExponentMatrix([[0, 0], [0, 0]]))
+    with pytest.raises(DimensionMismatchError, match="^matrix has n = 3 but vertex has n = 2$"):
+        lambda_membership(A, ApartmentVertex([0, 1]))
 
 
 def test_determinant_and_inverse():
@@ -349,6 +375,10 @@ def test_hermite_form_input_validation():
         hermite_normal_form(LocalMatrix([[1, 1], [1, 1]], 2))
     with pytest.raises(SingularInputError):
         hermite_normal_form(LocalMatrix([[0, 0], [0, 0]], 2))
+    # at n = 3: a zero first column, and a zero second pivot
+    for rows in ([[0, 1, 0], [0, 1, 1], [0, 0, 1]], [[1, 1, 0], [1, 1, 1], [2, 2, 1]]):
+        with pytest.raises(SingularInputError, match="^matrix is singular$"):
+            hermite_normal_form(LocalMatrix(rows, 2))
 
 
 def test_hermite_form_left_unit_invariance():

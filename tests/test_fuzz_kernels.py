@@ -9,11 +9,13 @@ golden tests pin the outputs and the random streams of the fuzz matrix
 generators, so ``fuzz --seed S`` keeps replaying the same inputs.
 """
 
+import ast
 import hashlib
 import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ from splitorders.correspondence import (
     maximal_order_exponents,
     verify_roundtrip,
 )
-from splitorders.dvr import PRIME_BOUND, LocalMatrix, check_prime
+from splitorders.dvr import PRIME_BOUND, LocalMatrix, _below, check_prime
 from splitorders.errors import (
     DimensionMismatchError,
     EmptyVertexListError,
@@ -412,17 +414,15 @@ def test_vertex_draws_are_randint(lo, hi):
             assert ours.getstate() == theirs.getstate()
 
 
-@pytest.mark.parametrize("bound", [None, 0, 1, 4, 7, 8, 2**40])
-def test_integral_matrix_draws_are_randint(bound):
+def test_integral_matrix_draws_are_randint():
     """random_integral_matrix draws through _randints; its entries, row by
-    row from [-bound, bound] (p^3 by default), and the state left behind
-    are those of randint."""
+    row from [-p^3, p^3], and the state left behind are those of randint."""
     for seed in range(3):
         for n in (1, 2, 4):
             for p in (2, 3, 7):
                 ours, theirs = random.Random(seed), random.Random(seed)
-                M = fuzz.random_integral_matrix(ours, n, p, bound)
-                b = p**3 if bound is None else bound
+                M = fuzz.random_integral_matrix(ours, n, p)
+                b = p**3
                 rows = [[theirs.randint(-b, b) for _ in range(n)] for _ in range(n)]
                 assert M == LocalMatrix(rows, p)
                 assert ours.getstate() == theirs.getstate()
@@ -453,8 +453,6 @@ def test_generator_draws_refuse_empty_ranges():
     rng = random.Random(0)
     with pytest.raises(ValueError, match="empty range"):
         fuzz.random_vertex(rng, 3, 1, 0)
-    with pytest.raises(ValueError, match="empty range"):
-        fuzz.random_integral_matrix(rng, 3, 2, bound=-1)
     with pytest.raises(ValueError, match="empty range"):
         fuzz.random_local_matrix(rng, 3, 2, 1, 0)
 
@@ -524,6 +522,114 @@ def test_unit_matrix_refuses_bad_arguments(n, prime, message):
     """The refusals of the identity matrix the steps start from."""
     with pytest.raises(ValueError, match=message):
         random_unit_matrix(random.Random(0), n, prime)
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        fuzz.random_integral_matrix,
+        fuzz.random_local_matrix,
+        fuzz.random_unit_matrix,
+        fuzz.random_change_of_basis,
+        fuzz.random_triangular_form,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_matrix_generators_check_the_prime_and_size(generator):
+    """random_local_matrix built LocalMatrix(..., prime=4) and
+    LocalMatrix([], prime=2), which LocalMatrix itself refuses, and
+    random_integral_matrix raised AttributeError on the prime 2.0."""
+    for n, prime, error, message in [
+        (2, 4, ValueError, "4 is not prime"),
+        (2, 1, ValueError, "prime must be >= 2, got 1"),
+        (2, True, TypeError, "prime True is not an integer"),
+        (0, 2, ValueError, "square and nonempty"),
+    ]:
+        with pytest.raises(error, match=message):
+            generator(random.Random(1), n, prime)
+    # an integral float reads as its int, as check_prime reads it
+    assert generator(random.Random(1), 3, 2.0) == generator(random.Random(1), 3, 2)
+
+
+class _Subclass(random.Random):
+    pass
+
+
+class _OwnBits(random.Random):
+    """Reads its words through its own getrandbits, complemented."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ ((1 << k) - 1)
+
+
+class _OwnRandom(random.Random):
+    def random(self):
+        return super().random()
+
+
+@pytest.mark.parametrize("cls", [random.Random, _Subclass, _OwnBits], ids=lambda c: c.__name__)
+def test_below_reads_the_words_of_randrange(cls):
+    for seed in range(3):
+        ours, theirs = cls(seed), cls(seed)
+        for width in [*range(1, 301), 2**32 - 1, 2**32 + 1, 2**70 + 13]:
+            got = [_below(ours.getrandbits, width) for _ in range(4)]
+            assert got == [theirs.randrange(width) for _ in range(4)]
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_below_leaves_randrange_for_a_subclass_that_overrides_random_alone():
+    """Such a subclass keeps getrandbits, but its randrange reads random()."""
+    ours, theirs = _OwnRandom(5), _OwnRandom(5)
+    assert [_below(ours.getrandbits, 10) for _ in range(20)] != [
+        theirs.randrange(10) for _ in range(20)
+    ]
+
+
+def _getrandbits_calls(tree):
+    """The function path of each call of a ``getrandbits``, directly or
+    through a name the module binds to one."""
+    def is_bits(node):
+        return isinstance(node, ast.Attribute) and node.attr == "getrandbits"
+
+    aliases = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_bits(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    sites = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            inner = path + (child.name,) if isinstance(child, ast.FunctionDef) else path
+            if isinstance(child, ast.Call) and (
+                is_bits(child.func) or isinstance(child.func, ast.Name) and child.func.id in aliases
+            ):
+                sites.append(".".join(inner))
+            visit(child, inner)
+
+    visit(tree, ())
+    return sites
+
+
+def test_only_the_table_sampler_and_randints_call_getrandbits():
+    """Every other integer drawn from a range reads its words through
+    ``dvr._below``, which calls the ``draw`` it is given; ``_randints``,
+    the hot loop of the fuzz driver, keeps ``_below`` written out."""
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(fuzz.__file__).parent.glob("*.py"))
+    }
+    sites = [(name, site) for name, tree in trees.items() for site in _getrandbits_calls(tree)]
+    assert sites == [("dvr.py", "_sharp_sampler.draw")] * 2 + [("fuzz.py", "_randints")] * 2
+    below = next(
+        node for node in ast.walk(trees["dvr.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_below"
+    )
+    assert [arg.arg for arg in below.args.args] == ["draw", "width"]
+    calls = [node.func for node in ast.walk(below) if isinstance(node, ast.Call)]
+    assert {"draw"} <= {f.id for f in calls if isinstance(f, ast.Name)}
 
 
 # ---------------------------------------------------------------------------
