@@ -30,7 +30,7 @@ from .errors import (
     SingularConjugatorError,
     SingularInputError,
 )
-from .exponent import ExponentMatrix
+from .exponent import ExponentMatrix, _closed_fields
 from .polytope import is_reduced
 
 
@@ -128,6 +128,7 @@ class GeneralSplitOrder(Frozen):
     def from_json_dict(cls, data: dict) -> "GeneralSplitOrder":
         if not isinstance(data, dict) or not {"gamma", "prime", "nu"} <= set(data):
             raise ValueError("expected an object with 'gamma', 'prime' and 'nu'")
+        _closed_fields(data, ("gamma", "prime", "nu"))
         gamma = LocalMatrix(data["gamma"], data["prime"])
         return cls(Apartment(gamma), ExponentMatrix.from_json_dict(data["nu"]))
 

@@ -101,8 +101,20 @@ def _json_number(literal: str):
 
 def _load_json(path: str):
     text = _read_text(path)
+
+    def unique_keys(pairs: list) -> dict:
+        # an object that writes a key twice is refused, not read as its last value
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise UsageError(f"{path}: not valid JSON (repeated key {key!r})")
+                seen.add(key)
+        return obj
+
     try:
-        return json.loads(text, parse_float=_json_number)
+        return json.loads(text, parse_float=_json_number, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:

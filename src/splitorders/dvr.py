@@ -31,7 +31,14 @@ from .errors import (
     SingularConjugatorError,
     SingularInputError,
 )
-from .exponent import ExponentMatrix, _as_int, check_index_pair, first_violation, int_tuple
+from .exponent import (
+    ExponentMatrix,
+    _as_int,
+    _closed_fields,
+    check_index_pair,
+    first_violation,
+    int_tuple,
+)
 from .polytope import ApartmentVertex
 
 INFINITE = math.inf  # valuation of zero
@@ -611,6 +618,7 @@ class LocalMatrix(Frozen):
     def from_json_dict(cls, data: dict) -> "LocalMatrix":
         if not isinstance(data, dict) or "entries" not in data or "prime" not in data:
             raise ValueError("expected an object with 'entries' and 'prime' fields")
+        _closed_fields(data, ("entries", "prime"))
         return cls(data["entries"], data["prime"])
 
 
@@ -882,22 +890,111 @@ def _below(draw, width: int) -> int:
     return r
 
 
-# largest word size k whose 2^k words get a lookup table in _sharp_sampler
+# largest word size k whose 2^k words get a lookup table in _exact_units
 _TABLE_BITS = 11
+
+# trials whose units ring_closure_check holds at a time, so that the memory
+# a check takes does not grow with its trial count
+_BLOCK_TRIALS = 128
+
+
+class _UnitRule(dict):
+    """Which words the unit readers accept: ``rule[r]`` is r + 1 for a word
+    r of the bit length of p^4 with r < p^4 and p not dividing r + 1, and
+    0 for any other word, which is redrawn.  It computes each entry and
+    keeps nothing."""
+
+    __slots__ = ("bound", "p")
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.bound, self.p = p**4, p
+
+    def __missing__(self, r: int) -> int:
+        return r + 1 if r < self.bound and (r + 1) % self.p else 0
 
 
 @functools.lru_cache(maxsize=None)
 def _unit_table(p: int) -> tuple[int, ...]:
-    """Entry r is r + 1 for a word r that _sharp_sampler accepts, else 0.
+    """``_UnitRule(p)`` over every word, as a tuple.
 
     Only primes with p^4 < 2^_TABLE_BITS (2, 3 and 5) are asked for, so
     the cache holds at most three tables.
     """
-    bound = p**4
-    return tuple(
-        0 if r >= bound or (r + 1) % p == 0 else r + 1
-        for r in range(1 << bound.bit_length())
-    )
+    rule = _UnitRule(p)
+    return tuple([rule[r] for r in range(1 << rule.bound.bit_length())])
+
+
+def _exact_units(rng: random.Random, p: int, count: int) -> list[int]:
+    """``count`` units, each uniform on [1, p^4] and prime to p, drawn as
+    ``randint(1, p^4)`` redrawn while p divides it.
+
+    That is u = ``_below(rng.getrandbits, p^4) + 1``, redrawn while p | u:
+    one word of k bits, k the bit length of p^4, per draw, which
+    ``_UnitRule(p)`` accepts or rejects.  Each word is looked up in
+    ``_unit_table(p)``, or past _TABLE_BITS in the rule itself, so the
+    reader reads the same words, and the units and the state left behind
+    are the stream's.
+    """
+    k = (p**4).bit_length()
+    units = _unit_table(p) if k <= _TABLE_BITS else _UnitRule(p)
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        u = units[getrandbits(k)]
+        while not u:
+            u = units[getrandbits(k)]
+        out.append(u)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_table(p: int) -> tuple[bytes, bytes]:
+    """``(table, reject)`` for a prime with p^4 < 2^8 (2 and 3): ``table``
+    maps a word's top byte b to ``_unit_table(p)[b >> (8 - k)]``, k the
+    bit length of p^4, and ``reject`` lists the bytes that map to 0."""
+    units = _unit_table(p)
+    shift = 8 - (p**4).bit_length()
+    table = bytes([units[b >> shift] for b in range(256)])
+    return table, bytes([b for b in range(256) if not table[b]])
+
+
+def _unit_blocks(rng: random.Random, p: int, sizes: Iterable[int]):
+    """Successive blocks of units, one of each length in ``sizes``, that
+    together are the units ``_exact_units`` reads from ``rng``, in order.
+
+    At p >= 5 each block is ``_exact_units(rng, p, size)``.  At p^4 < 2^8
+    words are read w at a time: ``getrandbits(32 w)`` is w successive
+    words, the first one least significant, so byte 4 i + 3 of its
+    little-endian bytes is word i's top byte, whose top k bits are what
+    ``getrandbits(k)`` gives for that word.  One ``translate`` drops the
+    bytes of rejected words and maps the rest to their units (bytes, as
+    p^4 < 2^8).  Words are read ahead of the units handed out, so ``rng``
+    is left in no stated state: give only a generator nothing else reads.
+    """
+    if p**4 >= 256:
+        for size in sizes:
+            yield _exact_units(rng, p, size)
+        return
+    table, reject = _byte_table(p)
+    spare = b""
+    for size in sizes:
+        while len(spare) < size:
+            # the words the missing units take at the acceptance rate, plus
+            # a margin, so that one read mostly suffices
+            w = (size - len(spare)) * 256 // (256 - len(reject)) + 64
+            words = rng.getrandbits(32 * w).to_bytes(4 * w, "little")
+            spare += words[3::4].translate(table, reject)
+        yield spare[:size]
+        spare = spare[size:]
+
+
+def _sharp_scales(nu: ExponentMatrix, p: int) -> tuple[tuple[int, ...], int]:
+    """``(scales, den)`` of the sharp sampler: den = p^shift, shift the
+    largest of 0 and every -nu[i][j], and scales the p^(nu[i][j] + shift),
+    row by row in one tuple."""
+    shift = max(0, -min(x for row in nu.entries for x in row))
+    return tuple([p ** (e + shift) for row in nu.entries for e in row]), p**shift
 
 
 def _sharp_sampler(nu: ExponentMatrix, p: int):
@@ -905,50 +1002,17 @@ def _sharp_sampler(nu: ExponentMatrix, p: int):
 
     Returns ``(draw, den)``: ``draw(rng)`` gives the integer numerator rows
     of one element over the denominator ``den = p^shift``.  Entry (i, j)
-    is a unit u, uniform on [1, p^4] and prime to p, times p^{nu[i][j]};
-    entries are drawn row by row.  u is ``_below(rng.getrandbits, p^4) +
-    1``, the stream of ``randint(1, p^4)``, redrawn while p divides it.
-    When the bit length k of p^4 is at most _TABLE_BITS (p <= 5), each
-    word of k bits is looked up in ``_unit_table(p)`` instead, which
-    reads the same words.
+    is a unit u from ``_exact_units``, uniform on [1, p^4] and prime to p,
+    times p^{nu[i][j]}; entries are drawn row by row.
     """
-    bound = p**4
-    k = bound.bit_length()
-    shift = max(0, -min(x for row in nu.entries for x in row))
-    scales = [[p ** (e + shift) for e in row] for row in nu.entries]
-
-    if k <= _TABLE_BITS:
-        units = _unit_table(p)
-
-        def draw(rng: random.Random) -> list[list[int]]:
-            getrandbits = rng.getrandbits
-            rows = []
-            for row in scales:
-                out = []
-                for s in row:
-                    u = units[getrandbits(k)]
-                    while not u:
-                        u = units[getrandbits(k)]
-                    out.append(u * s)
-                rows.append(out)
-            return rows
-
-        return draw, p**shift
+    scales, den = _sharp_scales(nu, p)
+    n = len(nu.entries)
 
     def draw(rng: random.Random) -> list[list[int]]:
-        getrandbits = rng.getrandbits
-        rows = []
-        for row in scales:
-            out = []
-            for s in row:
-                u = _below(getrandbits, bound) + 1
-                while u % p == 0:
-                    u = _below(getrandbits, bound) + 1
-                out.append(u * s)
-            rows.append(out)
-        return rows
+        entries = map(operator.mul, _exact_units(rng, p, len(scales)), scales)
+        return [list(row) for row in zip(*[entries] * n)]
 
-    return draw, p**shift
+    return draw, den
 
 
 def sample_split_order_element(
@@ -957,9 +1021,9 @@ def sample_split_order_element(
     """Random element of S(nu) whose entries have valuation exactly nu[i][j].
 
     Each entry is a unit numerator, drawn uniformly from [1, p^4] coprime
-    to p, scaled by p^{nu[i][j]}.  The units are read through ``_below``,
-    so the samples and the final state are those of rejection sampling
-    with ``rng.randint(1, p^4)``.
+    to p, scaled by p^{nu[i][j]}.  The units are read through
+    ``_exact_units``, so the samples and the final state are those of
+    rejection sampling with ``rng.randint(1, p^4)``.
     """
     p = check_prime(prime)
     draw, den = _sharp_sampler(nu, p)
@@ -979,9 +1043,14 @@ def ring_closure_check(
     Otherwise returns a witness pair (A, B) of elements of S(nu) whose
     product escapes; for a non-order the witness is built deterministically
     from the first violated triple (i, k, j) as p^{nu[i][k]} E(i, k) and
-    p^{nu[k][j]} E(k, j).  Pairs are drawn as by
-    ``sample_split_order_element`` from ``random.Random(seed)``, so a
-    seed replays the stream of ``randint``.
+    p^{nu[k][j]} E(k, j).
+
+    Pairs are drawn as by ``sample_split_order_element`` from
+    ``random.Random(seed)``: the sampled values and the witness are those
+    of the ``randint`` stream, so a seed replays them.  That generator is
+    the function's own and is read in blocks of _BLOCK_TRIALS trials, at
+    p = 2 and 3 ahead of the units it uses (``_unit_blocks``); it is
+    dropped on return, so nothing observes the words read ahead.
 
     ``trials`` and ``seed`` are ints (an integral float reads as one; a
     bool or another non-integer raises TypeError), and ``trials`` must be
@@ -998,13 +1067,17 @@ def ring_closure_check(
         A = LocalMatrix.matrix_unit(nu.n, i, k, p, exponent=nu.entries[i][k])
         B = LocalMatrix.matrix_unit(nu.n, k, j, p, exponent=nu.entries[k][j])
         return (A, B)
-    rng = random.Random(seed)
-    draw, den = _sharp_sampler(nu, p)
+    scales, den = _sharp_scales(nu, p)
+    n = nu.n
     # every product is an integer matrix over den^2, tested as it stands
     within = _membership_test(nu.entries, 2 * _int_valuation(den, p), p)
-    for _ in range(trials):
-        a = draw(rng)
-        b = draw(rng)
-        if not within(_mul_rows(a, b)):
-            return (LocalMatrix._from_raw(a, den, p), LocalMatrix._from_raw(b, den, p))
+    sizes = (
+        2 * len(scales) * min(_BLOCK_TRIALS, trials - t) for t in range(0, trials, _BLOCK_TRIALS)
+    )
+    for units in _unit_blocks(random.Random(seed), p, sizes):
+        entries = map(operator.mul, units, itertools.cycle(scales))
+        matrices = zip(*[zip(*[entries] * n)] * n)
+        for a, b in zip(matrices, matrices):
+            if not within(_mul_rows(a, b)):
+                return (LocalMatrix._from_raw(a, den, p), LocalMatrix._from_raw(b, den, p))
     return True

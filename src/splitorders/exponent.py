@@ -46,6 +46,17 @@ def _as_int(x, noun: str = "entry") -> int:
     raise TypeError(f"{noun} {x!r} is not an integer")
 
 
+def _closed_fields(data: dict, fields: tuple[str, ...]) -> None:
+    """Refuse (ValueError) a key of the input object ``data`` outside
+    ``fields``: an unknown key is a mistake, never silently ignored."""
+    for key in data:
+        if key not in fields:
+            names = [repr(f) for f in fields]
+            raise ValueError(
+                f"unknown field {key!r}; the fields are {', '.join(names[:-1])} and {names[-1]}"
+            )
+
+
 def int_tuple(values: Iterable) -> tuple[int, ...]:
     """Values as a tuple of ints, without truncation.
 
@@ -126,6 +137,7 @@ class ExponentMatrix(Frozen):
     def from_json_dict(cls, data: dict) -> "ExponentMatrix":
         if not isinstance(data, dict) or "nu" not in data:
             raise ValueError("expected an object with an 'nu' field")
+        _closed_fields(data, ("n", "nu"))
         matrix = cls(data["nu"])
         declared = data.get("n")
         if declared is not None and declared != matrix.n:

@@ -193,6 +193,23 @@ def test_general_split_order_serialization():
     assert back.apartment.gamma == gamma
 
 
+def test_general_split_order_json_refuses_missing_and_unknown_fields():
+    data = GeneralSplitOrder(
+        Apartment(LocalMatrix([[1, 1], [0, 2]], 2)), ExponentMatrix([[0, 1], [2, 0]])
+    ).to_json_dict()
+    for key in data:
+        partial = {k: v for k, v in data.items() if k != key}
+        with pytest.raises(ValueError, match="^expected an object with 'gamma', 'prime' and 'nu'$"):
+            GeneralSplitOrder.from_json_dict(partial)
+    with pytest.raises(ValueError, match="^expected an object with 'gamma', 'prime' and 'nu'$"):
+        GeneralSplitOrder.from_json_dict([data["gamma"], data["prime"], data["nu"]])
+    closed = "the fields are 'gamma', 'prime' and 'nu'"
+    with pytest.raises(ValueError, match=f"^unknown field 'extra'; {closed}$"):
+        GeneralSplitOrder.from_json_dict({**data, "extra": 5})
+    with pytest.raises(ValueError, match="^unknown field 'extra'; the fields are 'n' and 'nu'$"):
+        GeneralSplitOrder.from_json_dict({**data, "nu": {**data["nu"], "extra": 5}})
+
+
 def _rand_invertible(rng, n, p):
     while True:
         rows = [

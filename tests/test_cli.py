@@ -683,3 +683,32 @@ def test_non_integral_literals_exit_two_even_when_a_float_rounds_them(
         assert captured.out == ""
         assert captured.err.endswith(f"(entry {literal} is not an integer)\n")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"nu": [[0, 1], [0, 0]], "nu": [[0, -5], [0, 0]]}',
+            "{path}: not valid JSON (repeated key 'nu')",
+        ),
+        (
+            '{"n": 2, "nu": [[0, 1], [0, 0]], "n": 2}',
+            "{path}: not valid JSON (repeated key 'n')",
+        ),
+        (
+            '{"nu": [[0, 1], [0, 0]], "extra": 5}',
+            "{path}: not an exponent matrix (unknown field 'extra'; the fields are 'n' and 'nu')",
+        ),
+    ],
+    ids=["repeated-nu", "repeated-n", "unknown-key"],
+)
+def test_repeated_and_unknown_keys_exit_two(tmp_path, capsys, text, message):
+    """A repeated key used to read as its last value, and an unknown key was
+    ignored; both are now refused with one error line."""
+    path = tmp_path / "nu.json"
+    path.write_text(text)
+    for command in ("check", "hull"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured == ("", f"error: {message.format(path=path)}\n")

@@ -251,6 +251,15 @@ def test_from_json_dict_refuses_an_object_without_entries_or_prime(data):
         LocalMatrix.from_json_dict(data)
 
 
+def test_from_json_dict_refuses_an_unknown_field():
+    data = LocalMatrix([[1, "1/2"], [0, 3]], 2).to_json_dict()
+    assert LocalMatrix.from_json_dict(data) == LocalMatrix([[1, "1/2"], [0, 3]], 2)
+    with pytest.raises(
+        ValueError, match="^unknown field 'den'; the fields are 'entries' and 'prime'$"
+    ):
+        LocalMatrix.from_json_dict({**data, "den": 1})
+
+
 def test_membership_refuses_a_size_mismatch():
     A = LocalMatrix.identity(3, 2)
     with pytest.raises(DimensionMismatchError, match="^matrix has n = 3 but exponents have n = 2$"):

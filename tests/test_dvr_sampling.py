@@ -7,12 +7,14 @@ state it leaves behind.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from _oracles import frac_matmul, frac_ring_closure, frac_sharp_sample, padic_valuation
+from _word_stream import bulk_mismatches, layout_mismatches
 from splitorders import dvr
 from splitorders.dvr import (
     LocalMatrix,
@@ -136,6 +138,41 @@ def test_ring_closure_sampled_witness_matches_fraction_reference(monkeypatch):
             else:
                 assert _as_fractions(got) == want
     assert outcomes == {True, False}
+
+
+def test_getrandbits_blocks_are_successive_words_least_significant_first():
+    """``dvr._unit_blocks`` reads the words of ``getrandbits(k)``, k <= 8,
+    off the top bytes of one ``getrandbits(32 w)``."""
+    assert layout_mismatches() == 0
+
+
+def test_bulk_units_are_the_exact_readers_units():
+    assert bulk_mismatches() == 0
+
+
+def _ring_peak(nu, trials):
+    tracemalloc.start()
+    try:
+        assert ring_closure_check(nu, trials=trials, seed=5, prime=2) is True
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ring_closure_memory_does_not_grow_with_trials(monkeypatch):
+    """Units are drawn for at most ``dvr._BLOCK_TRIALS`` trials at a time.
+
+    A reader that held every unit would hold 3.2 MB at 10^5 trials of
+    n = 4, against about 0.2 MB here.  No trial keeps its product, so the
+    product is stubbed by its first factor, which the membership test for
+    the zero exponents passes: tracing 1.1 * 10^5 real 4 x 4 products
+    would take seconds.
+    """
+    nu = ExponentMatrix([[0] * 4] * 4)
+    monkeypatch.setattr(dvr, "_mul_rows", lambda a, b: a)
+    ring_closure_check(nu, trials=1, seed=5, prime=2)  # fill the caches first
+    small, large = _ring_peak(nu, 10**4), _ring_peak(nu, 10**5)
+    assert abs(large - small) <= small / 10, (small, large)
 
 
 def _local(rng, n, p, den=True):

@@ -167,3 +167,9 @@ def _random(rng, n, lo=-3, hi=5):
     return ExponentMatrix(
         [[rng.randint(lo, hi) if i != j else 0 for j in range(n)] for i in range(n)]
     )
+
+
+def test_json_object_with_an_unknown_key_is_refused():
+    with pytest.raises(ValueError, match="^unknown field 'extra'; the fields are 'n' and 'nu'$"):
+        ExponentMatrix.from_json_dict({"nu": [[0, 1], [0, 0]], "extra": 5})
+    assert ExponentMatrix.from_json_dict({"nu": [[0, 1], [0, 0]]}).n == 2

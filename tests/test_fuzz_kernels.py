@@ -616,13 +616,18 @@ def _getrandbits_calls(tree):
 def test_only_the_table_sampler_and_randints_call_getrandbits():
     """Every other integer drawn from a range reads its words through
     ``dvr._below``, which calls the ``draw`` it is given; ``_randints``,
-    the hot loop of the fuzz driver, keeps ``_below`` written out."""
+    the hot loop of the fuzz driver, keeps ``_below`` written out.  The
+    sharp sampler's units are read word by word in ``_exact_units`` and,
+    for the ring-closure check's own generator, in bulk by
+    ``_unit_blocks``."""
     trees = {
         path.name: ast.parse(path.read_text())
         for path in sorted(Path(fuzz.__file__).parent.glob("*.py"))
     }
     sites = [(name, site) for name, tree in trees.items() for site in _getrandbits_calls(tree)]
-    assert sites == [("dvr.py", "_sharp_sampler.draw")] * 2 + [("fuzz.py", "_randints")] * 2
+    assert sites == (
+        [("dvr.py", "_exact_units")] * 2 + [("dvr.py", "_unit_blocks")] + [("fuzz.py", "_randints")] * 2
+    )
     below = next(
         node for node in ast.walk(trees["dvr.py"])
         if isinstance(node, ast.FunctionDef) and node.name == "_below"
