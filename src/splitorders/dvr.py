@@ -990,29 +990,11 @@ def _unit_blocks(rng: random.Random, p: int, sizes: Iterable[int]):
 
 
 def _sharp_scales(nu: ExponentMatrix, p: int) -> tuple[tuple[int, ...], int]:
-    """``(scales, den)`` of the sharp sampler: den = p^shift, shift the
+    """``(scales, den)`` of a sharp sample: den = p^shift, shift the
     largest of 0 and every -nu[i][j], and scales the p^(nu[i][j] + shift),
     row by row in one tuple."""
     shift = max(0, -min(x for row in nu.entries for x in row))
     return tuple([p ** (e + shift) for row in nu.entries for e in row]), p**shift
-
-
-def _sharp_sampler(nu: ExponentMatrix, p: int):
-    """Draw function for elements of S(nu) with entry valuations exactly nu.
-
-    Returns ``(draw, den)``: ``draw(rng)`` gives the integer numerator rows
-    of one element over the denominator ``den = p^shift``.  Entry (i, j)
-    is a unit u from ``_exact_units``, uniform on [1, p^4] and prime to p,
-    times p^{nu[i][j]}; entries are drawn row by row.
-    """
-    scales, den = _sharp_scales(nu, p)
-    n = len(nu.entries)
-
-    def draw(rng: random.Random) -> list[list[int]]:
-        entries = map(operator.mul, _exact_units(rng, p, len(scales)), scales)
-        return [list(row) for row in zip(*[entries] * n)]
-
-    return draw, den
 
 
 def sample_split_order_element(
@@ -1021,13 +1003,14 @@ def sample_split_order_element(
     """Random element of S(nu) whose entries have valuation exactly nu[i][j].
 
     Each entry is a unit numerator, drawn uniformly from [1, p^4] coprime
-    to p, scaled by p^{nu[i][j]}.  The units are read through
-    ``_exact_units``, so the samples and the final state are those of
-    rejection sampling with ``rng.randint(1, p^4)``.
+    to p, scaled by p^{nu[i][j]}; entries are drawn row by row.  The units
+    are read through ``_exact_units``, so the samples and the final state
+    are those of rejection sampling with ``rng.randint(1, p^4)``.
     """
     p = check_prime(prime)
-    draw, den = _sharp_sampler(nu, p)
-    return LocalMatrix._from_raw(draw(rng), den, p)
+    scales, den = _sharp_scales(nu, p)
+    entries = map(operator.mul, _exact_units(rng, p, len(scales)), scales)
+    return LocalMatrix._from_raw(zip(*[entries] * nu.n), den, p)
 
 
 def ring_closure_check(

@@ -12,7 +12,7 @@ through ``dvr._below`` (``_randints`` has it written out), so it leaves
 Each check is one ``Check`` record, listed in ``_RECORDS``, and
 ``run_check`` runs them all the same way.  The trial budget
 (``FuzzConfig.trials``, ``--trials`` on the command line) is split evenly
-over the dimensions n_min..n_max for the checks on random exponent
+over the dimensions 2..n_max for the checks on random exponent
 matrices, some of which cap the trials per dimension; every other check
 runs ``min(trials, cap)`` trials, where the cap of the Hijikata check is
 the number of cells in its grid of 2 x 2 matrices, walked row by row.
@@ -100,22 +100,21 @@ class FuzzConfig(FrozenRecord):
     """Configuration of one driver run; all fields are validated ints.
 
     Integral floats read as ints; bools, strings and other non-integers
-    are refused.  The checks run in order, trial count, entry range,
-    dimensions, prime, and last that the widest region box a trial can
-    enumerate, ``(2 * max(entry_max, 0) + 1) ** (n_max - 1)`` cells,
-    stays within ``polytope.DEFAULT_POINT_LIMIT``; the first failure is
-    the one reported.
+    are refused.  Random exponent matrices have dimensions 2 to ``n_max``.
+    The checks run in order, trial count, entry range, dimensions, prime,
+    and last that the widest region box a trial on a random exponent
+    matrix can enumerate, ``(2 * max(entry_max, 0) + 1) ** (n_max - 1)``
+    cells, stays within ``polytope.DEFAULT_POINT_LIMIT``; the first
+    failure is the one reported.  The other checks draw regions whose
+    boxes stay within it at every dimension, so no trial trips the guard.
 
     Raises TypeError or ValueError.
     """
 
-    __match_args__ = (
-        "n_min", "n_max", "entry_min", "entry_max", "trials", "seed", "prime"
-    )
+    __match_args__ = ("n_max", "entry_min", "entry_max", "trials", "seed", "prime")
 
     def __init__(
         self,
-        n_min: int = 2,
         n_max: int = 4,
         entry_min: int = -3,
         entry_max: int = 5,
@@ -123,15 +122,15 @@ class FuzzConfig(FrozenRecord):
         seed: int = 0,
         prime: int = 2,
     ):
-        # the first six fields, each named in its error; prime is checked below
-        n_min, n_max, entry_min, entry_max, trials, seed = map(
-            _as_int, (n_min, n_max, entry_min, entry_max, trials, seed), self.__match_args__
+        # the first five fields, each named in its error; prime is checked below
+        n_max, entry_min, entry_max, trials, seed = map(
+            _as_int, (n_max, entry_min, entry_max, trials, seed), self.__match_args__
         )
         if trials < 1:
             raise ValueError("trial count must be >= 1")
         if entry_min > entry_max:
             raise ValueError("entry range is empty")
-        if not 2 <= n_min <= n_max:
+        if n_max < 2:
             raise ValueError("need 2 <= n_min <= n_max")
         if n_max > MAX_DIMENSION:
             raise ValueError(f"dimensions above {MAX_DIMENSION} are not supported")
@@ -142,7 +141,7 @@ class FuzzConfig(FrozenRecord):
                 f"entry range too wide: a region box at n = {n_max} can have {cells} "
                 f"cells, more than {DEFAULT_POINT_LIMIT}"
             )
-        self._set(n_min, n_max, entry_min, entry_max, trials, seed, prime)
+        self._set(n_max, entry_min, entry_max, trials, seed, prime)
 
 
 class CheckResult(FrozenRecord):
@@ -219,7 +218,7 @@ def random_exponent_matrix(
     return ExponentMatrix._trusted(tuple(rows))
 
 
-def random_vertex(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> ApartmentVertex:
+def random_vertex(rng: random.Random, n: int, lo: int, hi: int) -> ApartmentVertex:
     """Vertex whose n coordinates are drawn from [lo, hi] by ``_randints``."""
     return ApartmentVertex(_randints(rng, lo, hi, n))
 
@@ -317,11 +316,10 @@ def random_unit_matrix(
     return LocalMatrix._from_raw(rows, 1, p)
 
 
-def random_change_of_basis(
-    rng: random.Random, n: int, prime: int, steps: int = 3
-) -> LocalMatrix:
-    """Random invertible matrix over the field: units mixed with diagonal p powers."""
-    out = random_unit_matrix(rng, n, prime, steps=steps)
+def random_change_of_basis(rng: random.Random, n: int, prime: int) -> LocalMatrix:
+    """Random invertible matrix over the field: a unit matrix of three steps
+    times a diagonal of p powers."""
+    out = random_unit_matrix(rng, n, prime, steps=3)
     powers = _randints(rng, -2, 2, n)
     return out @ LocalMatrix.power_diagonal(powers, prime)
 
@@ -415,9 +413,8 @@ def minimize_failing_matrix(
                     continue
                 original = entries[i][j]
                 step = original - (1 if original > 0 else -1)
-                for candidate in (0, step):
-                    if candidate == original:
-                        continue
+                # at +-1 the step toward 0 is 0, already tried
+                for candidate in (0, step) if step else (0,):
                     entries[i][j] = candidate
                     if failing(ExponentMatrix(entries)):
                         changed = True
@@ -434,7 +431,7 @@ class Check:
     """One fuzz check: a name, a trial schedule and a trial body.
 
     With ``per_n`` the trial budget is split evenly over the dimensions
-    n_min..n_max (at least one trial each, at most ``cap`` when given) and
+    2..n_max (at least one trial each, at most ``cap`` when given) and
     each trial gets its dimension n; otherwise there are
     ``min(config.trials, cap)`` trials and each gets its index t.  ``cap``
     is an int or a function of the config.
@@ -476,7 +473,7 @@ def run_check(
     """
     cap = check.cap(config) if callable(check.cap) else check.cap
     if check.per_n:
-        span = range(config.n_min, config.n_max + 1)
+        span = range(2, config.n_max + 1)
         per = max(1, config.trials // len(span))
         if cap is not None:
             per = min(per, cap)
@@ -577,7 +574,7 @@ def _roundtrip_reduced(nu):
 
 
 def _reject_bad_diagonal(rng, config, t):
-    n = rng.randint(config.n_min, config.n_max)
+    n = rng.randint(2, config.n_max)
     entries = [
         [rng.randint(config.entry_min, config.entry_max) for _ in range(n)]
         for _ in range(n)
@@ -611,7 +608,13 @@ def _max_difference_enumeration(rng, config, n):
 
 
 def _vertex_intersection(rng, config, n):
-    family = [random_vertex(rng, n) for _ in range(rng.randint(1, 6))]
+    # coordinates of vertices from [-r, r] differ from coordinate 0 by at
+    # most 2 r: the largest r <= 4 whose box of (4 r + 1)^(n - 1) cells fits
+    # the enumeration guard (3 at n = 6)
+    r = 4
+    while (4 * r + 1) ** (n - 1) > DEFAULT_POINT_LIMIT:
+        r -= 1
+    family = [random_vertex(rng, n, -r, r) for _ in range(rng.randint(1, 6))]
     mu = intersect_maximal(family)
     vertices = maximal_orders_containing(mu)
     members = {v.m for v in vertices}
@@ -774,7 +777,7 @@ def _diagonal_witness(rng, config, t):
 
 def _ring_closure(rng, config, t):
     p = (2, 3, 5)[t % 3]
-    n = rng.randint(config.n_min, config.n_max)
+    n = rng.randint(2, config.n_max)
     nu = random_exponent_matrix(rng, n, config.entry_min, config.entry_max)
     result = ring_closure_check(
         nu, trials=40, seed=rng.randrange(_SEED_MASK), prime=p

@@ -109,9 +109,7 @@ def max_difference(nu: ExponentMatrix, i: int, j: int) -> int:
     return closed[i][j]
 
 
-def enumerate_lattice_points(
-    nu: ExponentMatrix, *, max_points: int = DEFAULT_POINT_LIMIT
-) -> list[ApartmentVertex]:
+def enumerate_lattice_points(nu: ExponentMatrix) -> list[ApartmentVertex]:
     """All integer points of the region of ``nu``, in lexicographic coordinate order.
 
     Scans the bounding box ``-upper[0][i] <= x_i <= upper[i][0]`` one
@@ -119,12 +117,9 @@ def enumerate_lattice_points(
     the coordinates already fixed, so infeasible branches are skipped
     early.  Returns the empty list exactly when the region is empty.
 
-    Raises EnumerationLimitError when the bounding box holds more than
-    ``max_points`` cells, and TypeError when ``max_points`` is a bool or
-    not an int.
+    Raises EnumerationLimitError when the bounding box of a nonempty region
+    holds more than ``DEFAULT_POINT_LIMIT`` cells, a fixed guard.
     """
-    if type(max_points) is bool or not isinstance(max_points, int):
-        raise TypeError(f"max_points {max_points!r} is not an integer")
     n = nu.n
     u = nu.entries
     if not _cached_closure(nu):
@@ -132,9 +127,9 @@ def enumerate_lattice_points(
     box = 1
     for i in range(1, n):
         box *= u[i][0] + u[0][i] + 1
-        if box > max_points:
+        if box > DEFAULT_POINT_LIMIT:
             raise EnumerationLimitError(
-                f"bounding box has more than {max_points} cells"
+                f"bounding box has more than {DEFAULT_POINT_LIMIT} cells"
             )
     # x_idx >= x_i - u[i][idx] and x_idx <= x_i + u[idx][i] for i < idx; the
     # ranges use the declared bounds, not the closure, so that enumeration

@@ -25,6 +25,11 @@ _DIFF_COLOR = "#196f3d"
 
 _PAST_FLOAT_RANGE = "drawing coordinates are past the float range"
 
+# lattice steps the viewing window reaches past the region's box, and the
+# whole steps of it that get lattice dots
+_MARGIN = 1.5
+_STEPS = 1
+
 
 def apartment_to_plane(x2: float, x3: float) -> tuple[float, float]:
     """Planar position of the apartment point (x_2, x_3) under the 60 degree basis."""
@@ -37,35 +42,29 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def check_drawing_options(scale: float, margin: float = 1.5) -> None:
+def check_drawing_options(scale: float) -> None:
     """Raises ValueError unless ``scale`` (pixels per lattice step) is finite
-    and positive and ``margin`` (lattice steps around the box, by default the
-    renderer's) finite and non-negative."""
+    and positive."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError("scale must be a positive finite number")
-    if not (math.isfinite(margin) and margin >= 0):
-        raise ValueError("margin must be a non-negative finite number")
 
 
-def render_polytope_svg(
-    nu: ExponentMatrix, *, scale: float = 40.0, margin: float = 1.5
-) -> str:
+def render_polytope_svg(nu: ExponentMatrix, *, scale: float = 40.0) -> str:
     """SVG 1.1 document showing the region of a 3 x 3 exponent matrix.
 
     Every integer point of the viewing window, the region's box against
-    coordinate 0 widened by ``margin`` lattice steps, is drawn as a small
+    coordinate 0 widened by 1.5 lattice steps, is drawn as a small
     gray dot, the points of the region as larger filled dots with ids
     carrying their coordinates, and the six declared walls as lines
     colored by family, dashed when the wall does not touch the region.
 
     Raises UnsupportedDimensionError unless n = 3, ValueError unless
-    ``scale`` is finite and positive and ``margin`` finite and non-negative,
-    and EnumerationLimitError when the box or the window has more than
+    ``scale`` is finite and positive, and EnumerationLimitError when the box or the window has more than
     ``DEFAULT_POINT_LIMIT`` cells or a drawn coordinate is not a finite float.
     """
     if nu.n != 3:
         raise UnsupportedDimensionError(f"drawing needs n = 3, got n = {nu.n}")
-    check_drawing_options(scale, margin)
+    check_drawing_options(scale)
 
     u = nu.entries
     closed = _cached_closure(nu)
@@ -76,19 +75,18 @@ def render_polytope_svg(
     # the window's integer cells are counted before any float is formed
     lo2, hi2 = sorted((-u[0][1], u[1][0]))
     lo3, hi3 = sorted((-u[0][2], u[2][0]))
-    steps = math.floor(margin)
-    cells = (hi2 - lo2 + 2 * steps + 1) * (hi3 - lo3 + 2 * steps + 1)
+    cells = (hi2 - lo2 + 2 * _STEPS + 1) * (hi3 - lo3 + 2 * _STEPS + 1)
     if cells > DEFAULT_POINT_LIMIT:
         raise EnumerationLimitError(
             f"drawing window has more than {DEFAULT_POINT_LIMIT} cells"
         )
     # every int that becomes a float below is one of these or lies between
     # two of them; _fmt refuses the inf or nan that float arithmetic can reach
-    ends = (lo2 - steps, hi2 + steps, lo3 - steps, hi3 + steps, u[1][2], u[2][1])
+    ends = (lo2 - _STEPS, hi2 + _STEPS, lo3 - _STEPS, hi3 + _STEPS, u[1][2], u[2][1])
     if max(map(abs, ends)) > sys.float_info.max:
         raise EnumerationLimitError(_PAST_FLOAT_RANGE)
-    x2_lo, x2_hi = lo2 - margin, hi2 + margin
-    x3_lo, x3_hi = lo3 - margin, hi3 + margin
+    x2_lo, x2_hi = lo2 - _MARGIN, hi2 + _MARGIN
+    x3_lo, x3_hi = lo3 - _MARGIN, hi3 + _MARGIN
 
     corners = [apartment_to_plane(a, b) for a in (x2_lo, x2_hi) for b in (x3_lo, x3_hi)]
     px_lo = min(c[0] for c in corners)
@@ -112,8 +110,8 @@ def render_polytope_svg(
         '<g id="lattice" fill="#c8c8c8">'
     ]
     r = _fmt(0.06 * scale)
-    for ix2 in range(lo2 - steps, hi2 + steps + 1):
-        for ix3 in range(lo3 - steps, hi3 + steps + 1):
+    for ix2 in range(lo2 - _STEPS, hi2 + _STEPS + 1):
+        for ix3 in range(lo3 - _STEPS, hi3 + _STEPS + 1):
             sx, sy = to_screen(ix2, ix3)
             out.append(f'<circle cx="{sx}" cy="{sy}" r="{r}" />')
     out.append('</g><g id="walls" fill="none">')

@@ -275,12 +275,13 @@ def plain_random_unit_matrix(rng, n, p, steps=4):
     return rows
 
 
-def etree_region_svg(entries, scale=40.0, margin=1.5):
+def etree_region_svg(entries, scale=40.0):
     """SVG drawing of the region of a 3 x 3 exponent matrix, built as an
     ElementTree and serialized once: the package's former renderer, with
     the closure and the points taken from ``loop_minplus_closure`` and
     ``naive_box_points``.  No argument checks."""
     u = entries
+    margin = 1.5
     closed = loop_minplus_closure(entries)
     points = naive_box_points(entries)
     fmt = "{:.2f}".format

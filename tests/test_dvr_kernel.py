@@ -394,8 +394,11 @@ def test_table_sampler_leaves_the_rejection_loop_state(p):
         assert table == tuple(r + 1 if r < p**4 and r % p != p - 1 else 0
                               for r in range(len(table)))
     for k, entries in enumerate(_GOLDEN_NUS):
-        draw, _ = dvr._sharp_sampler(ExponentMatrix(entries), p)
+        scales, _ = dvr._sharp_scales(ExponentMatrix(entries), p)
+        n = len(entries)
         ours, theirs = random.Random(100 * p + k), random.Random(100 * p + k)
         for _ in range(30):
-            assert draw(ours) == _rejection_draw(theirs, entries, p)
+            flat = [u * s for u, s in zip(dvr._exact_units(ours, p, n * n), scales)]
+            rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+            assert rows == _rejection_draw(theirs, entries, p)
         assert ours.getstate() == theirs.getstate()

@@ -18,7 +18,6 @@ from _word_stream import bulk_mismatches, layout_mismatches
 from splitorders import dvr
 from splitorders.dvr import (
     LocalMatrix,
-    _sharp_sampler,
     _triple_product,
     ring_closure_check,
     sample_split_order_element,
@@ -59,14 +58,13 @@ def test_sampler_matches_randrange_stream_and_state(p):
             nu = _nu_for_sampler(entries)
             seed = meta.randrange(2**32)
             ours, theirs = random.Random(seed), random.Random(seed)
-            draw, den = _sharp_sampler(nu, p)
             for _ in range(6):
-                got = LocalMatrix._from_raw(draw(ours), den, p)
+                got = sample_split_order_element(nu, ours, p)
                 want = frac_sharp_sample(theirs, entries, p)
                 assert [list(row) for row in got.fractions()] == want
             assert ours.getstate() == theirs.getstate()
             if min(min(row) for row in entries) < 0:
-                assert den > 1
+                assert got.den > 1
 
 
 def test_public_sampler_leaves_the_randrange_state():

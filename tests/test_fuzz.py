@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 
@@ -5,6 +6,11 @@ import pytest
 
 from splitorders import fuzz
 from splitorders.cli import main
+from splitorders.correspondence import (
+    ApartmentVertex,
+    intersect_maximal,
+    maximal_orders_containing,
+)
 from splitorders.dvr import hermite_normal_form, rational_valuation
 from splitorders.errors import NotAnOrderError
 from splitorders.exponent import ExponentMatrix, has_containing_maximal
@@ -30,9 +36,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FuzzConfig(entry_min=3, entry_max=-3)
     with pytest.raises(ValueError):
-        FuzzConfig(n_min=1)
-    with pytest.raises(ValueError):
-        FuzzConfig(n_min=3, n_max=2)
+        FuzzConfig(n_max=1)
     with pytest.raises(ValueError):
         FuzzConfig(n_max=7)
 
@@ -49,6 +53,29 @@ def test_entry_range_stays_within_the_enumeration_guard(n_max, widest):
     with pytest.raises(ValueError) as info:
         FuzzConfig(n_max=n_max, entry_max=widest + 1)
     assert str(info.value) == message
+
+
+def test_vertex_intersection_boxes_fit_the_guard(monkeypatch):
+    """At every dimension the driver accepts, the vertex-intersection check
+    draws coordinates from a range whose widest intersection, two vertices
+    at opposite corners, has a box within the enumeration guard."""
+    ranges = {}
+    draw = fuzz.random_vertex
+
+    def spy(rng, n, *args):
+        bound = inspect.signature(draw).bind(rng, n, *args)
+        bound.apply_defaults()
+        ranges[n] = (bound.arguments["lo"], bound.arguments["hi"])
+        return draw(rng, n, *args)
+
+    monkeypatch.setattr(fuzz, "random_vertex", spy)
+    check = dict(CHECKS)["vertex-intersection"]
+    check(random.Random(0), FuzzConfig(n_max=fuzz.MAX_DIMENSION, trials=1))
+    assert sorted(ranges) == list(range(2, fuzz.MAX_DIMENSION + 1))
+    for n, (lo, hi) in ranges.items():
+        corners = [ApartmentVertex([lo] + [hi] * (n - 1)), ApartmentVertex([hi] + [lo] * (n - 1))]
+        members = {v.m for v in maximal_orders_containing(intersect_maximal(corners))}
+        assert all(c.m in members for c in corners)
 
 
 def test_small_run_passes_and_is_deterministic():
@@ -131,6 +158,20 @@ def test_minimizer_keeps_the_input_when_nothing_shrinks():
     start = ExponentMatrix([[0, -1], [0, 0]])
     failing = lambda m: not has_containing_maximal(m)
     assert minimize_failing_matrix(start, failing) == start
+
+
+def test_minimizer_tries_each_matrix_once():
+    """An entry of +-1 is tried at 0 only: its one step toward 0 is 0 again."""
+    start = ExponentMatrix([[0, 1, -1], [1, 0, 1], [-1, 1, 0]])
+    seen = []
+
+    def failing(m):
+        seen.append(m)
+        return m.entries[0][1] == 1
+
+    small = minimize_failing_matrix(start, failing)
+    assert small == ExponentMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    assert len(seen) == len(set(seen)) == 7
 
 
 def test_a_check_that_raises_reports_fail_and_the_run_goes_on(monkeypatch, capsys):

@@ -35,6 +35,7 @@ from splitorders.errors import (
 )
 from splitorders.exponent import ExponentMatrix, has_containing_maximal, order_hull
 import splitorders.fuzz as fuzz
+import splitorders.polytope as polytope
 from splitorders.fuzz import random_change_of_basis, random_unit_matrix
 from splitorders.polytope import contains, enumerate_lattice_points, is_reduced
 
@@ -126,26 +127,29 @@ def test_enumeration_on_degenerate_regions(entries):
         [[0, 100, 100], [100, 0, -201], [100, 100, 0]],  # huge box, empty
     ],
 )
-def test_enumeration_of_empty_regions_is_empty(entries):
+def test_enumeration_of_empty_regions_is_empty(entries, monkeypatch):
     nu = ExponentMatrix(entries)
     assert not has_containing_maximal(nu)
-    assert enumerate_lattice_points(nu, max_points=1) == []
+    monkeypatch.setattr(polytope, "DEFAULT_POINT_LIMIT", 1)
+    assert enumerate_lattice_points(nu) == []
 
 
-def test_enumeration_box_limit():
+def test_enumeration_box_limit(monkeypatch):
     box = ExponentMatrix([[0, 3], [4, 0]])  # box of 8 cells
-    assert len(enumerate_lattice_points(box, max_points=8)) == 8
-    with pytest.raises(EnumerationLimitError):
-        enumerate_lattice_points(box, max_points=7)
+    monkeypatch.setattr(polytope, "DEFAULT_POINT_LIMIT", 8)
+    assert len(enumerate_lattice_points(box)) == 8
+    monkeypatch.setattr(polytope, "DEFAULT_POINT_LIMIT", 7)
+    with pytest.raises(EnumerationLimitError, match="^bounding box has more than 7 cells$"):
+        enumerate_lattice_points(box)
     # the limit counts the declared box, not the box of the closed bounds
     nu = ExponentMatrix([[0, 9, 0], [9, 0, 0], [0, 0, 0]])  # 19 x 1 box, 1 point
-    assert [p.m for p in enumerate_lattice_points(nu, max_points=19)] == [
-        (0, 0, 0)
-    ]
+    monkeypatch.setattr(polytope, "DEFAULT_POINT_LIMIT", 19)
+    assert [p.m for p in enumerate_lattice_points(nu)] == [(0, 0, 0)]
+    monkeypatch.setattr(polytope, "DEFAULT_POINT_LIMIT", 18)
     with pytest.raises(EnumerationLimitError):
-        enumerate_lattice_points(nu, max_points=18)
+        enumerate_lattice_points(nu)
     with pytest.raises(EnumerationLimitError):
-        maximal_orders_containing(nu, max_points=18)
+        maximal_orders_containing(nu)
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -361,8 +365,10 @@ def test_generator_golden_stream():
     for t in range(300):
         n = 1 + t % 4
         p = (2, 3, 5, 7)[t % 4 if t % 3 else 0]
-        fn = random_unit_matrix if t % 2 else random_change_of_basis
-        M = fn(rng, n, p, steps=1 + t % 6)
+        M = random_unit_matrix(rng, n, p, steps=1 + t % 6)
+        if not t % 2:
+            # random_change_of_basis at this step count
+            M = M @ LocalMatrix.power_diagonal(fuzz._randints(rng, -2, 2, n), p)
         acc.append((M.n, M.prime, M.nums, M.den))
     digest = hashlib.sha256(repr(acc).encode()).hexdigest()
     assert digest == "f2563c15e6b85204eab2cd4fbf56c8435c6704a981d2cfd53f2f40f4c396a89d"
@@ -473,7 +479,7 @@ def test_exact_stream_draw_refuses_an_empty_range():
 
 _STREAM_GENERATORS = [
     (fuzz.random_exponent_matrix, lambda n, p: (n, -3, 5)),
-    (fuzz.random_vertex, lambda n, p: (n,)),
+    (fuzz.random_vertex, lambda n, p: (n, -4, 4)),
     (fuzz.random_vertex, lambda n, p: (n, -3, 3)),
     (fuzz.random_integral_matrix, lambda n, p: (n, p)),
     (fuzz.random_local_matrix, lambda n, p: (n, p)),

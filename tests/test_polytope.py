@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from splitorders import polytope
 from splitorders.errors import EmptyPolytopeError, EnumerationLimitError
 from splitorders.exponent import ExponentMatrix, has_containing_maximal, minplus_closure
 from splitorders.polytope import (
@@ -142,20 +143,15 @@ def test_max_difference_matches_point_maximum():
                 assert max_difference(nu, i, j) == brute_max_difference(pts, i, j)
 
 
-def test_enumeration_limit_guard():
+def test_enumeration_limit_guard(monkeypatch):
     wide = ExponentMatrix([[0, 40, 40], [40, 0, 40], [40, 40, 0]])
+    monkeypatch.setattr(polytope, "DEFAULT_POINT_LIMIT", 100)
     with pytest.raises(EnumerationLimitError):
-        enumerate_lattice_points(wide, max_points=100)
+        enumerate_lattice_points(wide)
     # empty regions exit before the guard can trip
     empty = ExponentMatrix([[0, -5], [1, 0]])
-    assert enumerate_lattice_points(empty, max_points=1) == []
-
-
-@pytest.mark.parametrize("limit", [True, 2.5, "100", None])
-def test_enumeration_limit_must_be_an_int(limit):
-    """max_points=True used to read as 1 ("more than True cells")."""
-    with pytest.raises(TypeError, match="max_points"):
-        enumerate_lattice_points(NU, max_points=limit)
+    monkeypatch.setattr(polytope, "DEFAULT_POINT_LIMIT", 1)
+    assert enumerate_lattice_points(empty) == []
 
 
 def test_is_reduced_frozen_cases():

@@ -86,21 +86,18 @@ INSTANCES = {
     ),
     "fuzz-config": (
         FuzzConfig,
-        "FuzzConfig(n_min=2, n_max=4, entry_min=-3, entry_max=5, trials=10000, "
-        "seed=0, prime=2)",
-        ("n_min", "n_max", "entry_min", "entry_max", "trials", "seed", "prime"),
+        "FuzzConfig(n_max=4, entry_min=-3, entry_max=5, trials=10000, seed=0, prime=2)",
+        ("n_max", "entry_min", "entry_max", "trials", "seed", "prime"),
     ),
     "fuzz-config-positional": (
-        lambda: FuzzConfig(3, 5, -1, 2, 10, 7, 3),
-        "FuzzConfig(n_min=3, n_max=5, entry_min=-1, entry_max=2, trials=10, "
-        "seed=7, prime=3)",
-        ("n_min", "n_max", "entry_min", "entry_max", "trials", "seed", "prime"),
+        lambda: FuzzConfig(5, -1, 2, 10, 7, 3),
+        "FuzzConfig(n_max=5, entry_min=-1, entry_max=2, trials=10, seed=7, prime=3)",
+        ("n_max", "entry_min", "entry_max", "trials", "seed", "prime"),
     ),
     "fuzz-config-keyword": (
         lambda: FuzzConfig(trials=60, seed=9),
-        "FuzzConfig(n_min=2, n_max=4, entry_min=-3, entry_max=5, trials=60, "
-        "seed=9, prime=2)",
-        ("n_min", "n_max", "entry_min", "entry_max", "trials", "seed", "prime"),
+        "FuzzConfig(n_max=4, entry_min=-3, entry_max=5, trials=60, seed=9, prime=2)",
+        ("n_max", "entry_min", "entry_max", "trials", "seed", "prime"),
     ),
     "check-result": (
         lambda: CheckResult("hull-path-scan", 3, None),
@@ -213,7 +210,7 @@ def test_unequal_instances():
     assert report != RoundtripReport(
         report.nu, report.hull, report.vertices[:1], True, True, True
     )
-    assert FuzzConfig() == FuzzConfig(2, 4, -3, 5, 10000, 0, 2)
+    assert FuzzConfig() == FuzzConfig(4, -3, 5, 10000, 0, 2)
     assert FuzzConfig() != FuzzConfig(seed=1)
     assert hash(FuzzConfig()) != hash(FuzzConfig(seed=1))
     assert CheckResult("a", 1, None) != CheckResult("a", 2, None)
@@ -375,8 +372,8 @@ def test_local_scalar_validation(value, prime, error, message):
         ({"trials": 0}, "trial count must be >= 1"),
         ({"trials": -5}, "trial count must be >= 1"),
         ({"entry_min": 3, "entry_max": -3}, "entry range is empty"),
-        ({"n_min": 1}, "need 2 <= n_min <= n_max"),
-        ({"n_min": 3, "n_max": 2}, "need 2 <= n_min <= n_max"),
+        ({"n_max": 1}, "need 2 <= n_min <= n_max"),
+        ({"n_max": -2}, "need 2 <= n_min <= n_max"),
         ({"n_max": 7}, "dimensions above 6 are not supported"),
         ({"prime": 4}, "4 is not prime"),
         ({"prime": 1}, "prime must be >= 2, got 1"),
@@ -388,8 +385,8 @@ def test_local_scalar_validation(value, prime, error, message):
         ),
         ({"entry_min": 3, "entry_max": -3, "n_max": 9, "prime": 4}, "entry range is empty"),
         ({"n_max": 9, "prime": 4}, "dimensions above 6 are not supported"),
-        ({"n_min": 1, "prime": 4}, "need 2 <= n_min <= n_max"),
-        ({"n_min": 8, "n_max": 7, "prime": 9}, "need 2 <= n_min <= n_max"),
+        ({"n_max": 1, "prime": 4}, "need 2 <= n_min <= n_max"),
+        ({"n_max": -8, "prime": 9}, "need 2 <= n_min <= n_max"),
         (
             {"entry_max": 50},
             "entry range too wide: a region box at n = 4 can have 1030301 cells, "
@@ -417,7 +414,7 @@ def test_fuzz_config_validation(kwargs, message):
         ({"entry_max": 2.5}, ValueError, "entry_max 2.5 is not an integer"),
         ({"entry_min": "1"}, TypeError, "entry_min '1' is not an integer"),
         ({"n_max": 3.5}, ValueError, "n_max 3.5 is not an integer"),
-        ({"n_min": False}, TypeError, "n_min False is not an integer"),
+        ({"n_max": False}, TypeError, "n_max False is not an integer"),
         ({"seed": math.nan}, ValueError, "seed nan is not an integer"),
     ],
 )
@@ -430,10 +427,10 @@ def test_fuzz_config_refuses_non_integer_fields(kwargs, error, message):
 
 
 def test_fuzz_config_stores_ints():
-    config = FuzzConfig(3.0, 4.0, -1.0, 2.0, 30.0, 7.0, 3.0)
-    assert config == FuzzConfig(3, 4, -1, 2, 30, 7, 3)
+    config = FuzzConfig(4.0, -1.0, 2.0, 30.0, 7.0, 3.0)
+    assert config == FuzzConfig(4, -1, 2, 30, 7, 3)
     assert all(type(getattr(config, name)) is int for name in FuzzConfig.__match_args__)
-    assert run_fuzz(config) == run_fuzz(FuzzConfig(3, 4, -1, 2, 30, 7, 3))
+    assert run_fuzz(config) == run_fuzz(FuzzConfig(4, -1, 2, 30, 7, 3))
 
 
 def test_roundtrip_report_properties_survive_pickle():

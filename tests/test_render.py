@@ -101,17 +101,10 @@ def test_scale_must_be_positive_and_finite(scale):
         render_polytope_svg(NU, scale=scale)
 
 
-@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf"), -5.0, -0.5])
-def test_margin_must_be_non_negative_and_finite(margin):
-    with pytest.raises(ValueError, match="^margin must be a non-negative finite number$"):
-        render_polytope_svg(NU, margin=margin)
-
-
-def test_zero_margin_is_accepted():
+def test_the_window_reaches_one_lattice_step_past_the_box():
     ones = ExponentMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    root = _root(render_polytope_svg(ones, margin=0))
-    assert len(list(root.iter(f"{SVG}circle"))) == 16
-    # the default margin shows the full figure: 25 lattice dots and 7 points
+    # the box is 3 x 3 lattice cells; the window shows 5 x 5 lattice dots
+    # and the 7 points of the region
     assert len(list(_root(render_polytope_svg(ones)).iter(f"{SVG}circle"))) == 32
 
 
@@ -131,9 +124,8 @@ def test_writer_matches_the_elementtree_reference():
         nu = ExponentMatrix(rows)
         kinds.add((has_containing_maximal(nu), len(enumerate_lattice_points(nu)) == 1))
         for scale in (0.5, 7.5, 40.0, 123.456):
-            for margin in (0, 0.5, 1.5, 3):
-                expected = etree_region_svg(rows, scale=scale, margin=margin)
-                assert render_polytope_svg(nu, scale=scale, margin=margin) == expected
+            expected = etree_region_svg(rows, scale=scale)
+            assert render_polytope_svg(nu, scale=scale) == expected
     assert kinds == {(False, False), (True, False), (True, True)}
 
 
@@ -147,15 +139,17 @@ def test_an_empty_region_draws_its_window_as_a_feasible_one_would():
 
 
 WINDOW_OVER_THE_GUARD = [
-    ([[0, 1200, 1200], [1200, 0, -5], [1200, -5, 0]], 1.5),
-    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 10**4),
+    [[0, 1200, 1200], [1200, 0, -5], [1200, -5, 0]],
+    # an empty region whose box of 999^2 cells passes the guard and whose
+    # window, one lattice step wider on each side, does not
+    [[0, 499, 499], [499, 0, -5], [499, -5, 0]],
     # a feasible region whose box passes the guard and whose window does not
-    ([[0, 0, 0], [998, 0, 0], [998, 0, 0]], 1.5),
+    [[0, 0, 0], [998, 0, 0], [998, 0, 0]],
 ]
 
 
-@pytest.mark.parametrize("rows, margin", WINDOW_OVER_THE_GUARD, ids=["empty", "margin", "edge"])
-def test_a_window_over_the_guard_is_refused_before_drawing(rows, margin):
+@pytest.mark.parametrize("rows", WINDOW_OVER_THE_GUARD, ids=["empty", "margin", "edge"])
+def test_a_window_over_the_guard_is_refused_before_drawing(rows):
     nu = ExponentMatrix(rows)
     tracemalloc.start()
     try:
@@ -163,7 +157,7 @@ def test_a_window_over_the_guard_is_refused_before_drawing(rows, margin):
             EnumerationLimitError,
             match=f"^drawing window has more than {DEFAULT_POINT_LIMIT} cells$",
         ):
-            render_polytope_svg(nu, margin=margin)
+            render_polytope_svg(nu)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

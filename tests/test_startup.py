@@ -80,8 +80,6 @@ def test_render_still_returns_the_golden_svg():
     nu = ExponentMatrix([[0, 0, 1], [3, 0, 1], [3, 2, 0]])
     variant = ExponentMatrix([[0, 0, 2], [3, 0, 1], [3, 2, 0]])
     golden = (GOLDEN / "region.svg").read_text(encoding="utf-8")
-    golden_variant = (GOLDEN / "region_variant_scale25_margin05.svg").read_text(
-        encoding="utf-8"
-    )
+    golden_variant = (GOLDEN / "region_variant_scale25.svg").read_text(encoding="utf-8")
     assert render_polytope_svg(nu) == golden
-    assert render_polytope_svg(variant, scale=25.0, margin=0.5) == golden_variant
+    assert render_polytope_svg(variant, scale=25.0) == golden_variant
