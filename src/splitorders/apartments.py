@@ -19,8 +19,8 @@ from .dvr import (
     _divisor_exponents,
     _int_valuation,
     _mul_rows,
-    _membership_test,
     _triple_product,
+    _within,
     conjugate,
     elementary_divisors,
 )
@@ -158,7 +158,7 @@ def general_membership(S: GeneralSplitOrder, A: LocalMatrix) -> bool:
 
     The pull-back gamma^(-1) A gamma is tested as the integer triple
     product over the product of the three denominators, without reducing
-    it to lowest terms first, by the cached test for (nu, v(den), p).
+    it to lowest terms first, in ``dvr._within``'s one pass.
     """
     nu = S.nu
     if A.n != nu.n:
@@ -167,8 +167,8 @@ def general_membership(S: GeneralSplitOrder, A: LocalMatrix) -> bool:
     p = A.prime
     if p != right.prime:
         raise ValueError(f"prime mismatch: {p} vs {right.prime}")
-    within = _membership_test(nu.entries, _int_valuation(left.den * A.den * right.den, p), p)
-    return within(_mul_rows(_mul_rows(left.nums, A.nums), right.nums))
+    pulled = _mul_rows(_mul_rows(left.nums, A.nums), right.nums)
+    return _within(pulled, nu.entries, _int_valuation(left.den * A.den * right.den, p), p)
 
 
 def intersect_in_apartment(

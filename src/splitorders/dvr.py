@@ -628,62 +628,58 @@ _set_nums = LocalMatrix.nums.__set__
 _set_den = LocalMatrix.den.__set__
 
 
-@functools.lru_cache(maxsize=2048)
-def _membership_test(bounds: tuple, vden: int, p: int):
-    """Predicate on integer rows N: whether every entry of N / d, for any
-    d >= 1 of valuation ``vden``, in lowest terms with N or not, has
-    valuation at least ``bounds[i][j]`` (a tuple of row tuples).
+def _within(rows: Sequence[Sequence[int]], bounds: tuple, vden: int, p: int) -> bool:
+    """Whether every entry of N / d, for integer rows N and any d >= 1 of
+    valuation ``vden``, has valuation at least ``bounds[i][j]``, read in
+    one pass that stops at the first failure.
 
-    Entry (i, j) passes when p^k divides its numerator, k = bounds[i][j]
-    + vden.  A call builds moduli only up to the first entry that fails;
-    the first call that passes keeps them, if they come to at most 4096
-    bits, for later calls to read.  2048 keys hold all that one pass of
-    the local-arith or fuzz benchmark meets (686 and 1337 at seed 1).
+    Entry x passes when p^k divides it, k = bounds[i][j] + vden: always
+    when x is 0 or k <= 0, and never once k (p.bit_length() - 1) >=
+    x.bit_length(), as then p^k > |x|, so no p^k longer than x is formed.
     """
-    test = operator.and_ if p == 2 else operator.mod
-    flat = itertools.chain.from_iterable
-    kept = None
-
-    def within(rows: Sequence[Sequence[int]]) -> bool:
-        nonlocal kept
-        if kept is not None:
-            return not any(map(test, flat(rows), kept))
-        moduli = []
-        for x, b in zip(flat(rows), flat(bounds)):
+    bits = p.bit_length() - 1
+    for row, brow in zip(rows, bounds):
+        for x, b in zip(row, brow):
             k = b + vden
-            # p^k divides x exactly when x & m is 0 at p = 2, where m masks
-            # the low k bits, and when x % m is 0 otherwise; k <= 0 passes all
-            moduli.append(((1 << k) - 1 if k > 0 else 0) if p == 2 else (p**k if k > 0 else 1))
-            if test(x, moduli[-1]):
+            if k > 0 and x and (k * bits >= x.bit_length() or x % p**k):
                 return False
-        if sum(map(int.bit_length, moduli)) <= 4096:
-            kept = tuple(moduli)
-        return True
+    return True
 
-    return within
+
+def _membership_test(bounds: tuple, vden: int, p: int):
+    """Predicate on integer rows N that decides ``_within(N, bounds, vden, p)``
+    with its moduli built once, for a caller that tests many row sets."""
+    moduli = [p ** max(b + vden, 0) for b in itertools.chain.from_iterable(bounds)]
+    return lambda rows: not any(map(operator.mod, itertools.chain.from_iterable(rows), moduli))
 
 
 def in_split_order(A: LocalMatrix, nu: ExponentMatrix) -> bool:
     """Whether every entry of A has valuation at least the matching
-    exponent, by the cached test for (nu, v(A.den), p)."""
+    exponent, read off A's numerators and v(A.den) in one pass."""
     if A.n != nu.n:
         raise DimensionMismatchError(
             f"matrix has n = {A.n} but exponents have n = {nu.n}"
         )
-    return _membership_test(nu.entries, _int_valuation(A.den, A.prime), A.prime)(A.nums)
+    return _within(A.nums, nu.entries, _int_valuation(A.den, A.prime), A.prime)
 
 
 def lambda_membership(A: LocalMatrix, v: ApartmentVertex) -> bool:
     """Whether A lies in the maximal order at vertex v.
 
-    It is the split order S(nu) with nu[i][j] = m_i - m_j, so A meets the
-    cached test for those bounds; only the homothety class of v matters.
+    It is the split order S(nu) with nu[i][j] = m_i - m_j, so entry (i, j)
+    is tested as ``_within`` tests it, against k = m_i - m_j + v(A.den);
+    only the homothety class of v matters.
     """
     if A.n != v.n:
         raise DimensionMismatchError(f"matrix has n = {A.n} but vertex has n = {v.n}")
-    m = v.m
-    bounds = tuple([tuple([mi - mj for mj in m]) for mi in m])
-    return _membership_test(bounds, _int_valuation(A.den, A.prime), A.prime)(A.nums)
+    m, p = v.m, A.prime
+    vden, bits = _int_valuation(A.den, p), p.bit_length() - 1
+    for mi, row in zip(m, A.nums):
+        for mj, x in zip(m, row):
+            k = mi - mj + vden
+            if k > 0 and x and (k * bits >= x.bit_length() or x % p**k):
+                return False
+    return True
 
 
 def conjugate(xi: LocalMatrix, A: LocalMatrix) -> LocalMatrix:
@@ -818,10 +814,11 @@ def diagonal_witness(form: HermiteForm) -> LocalMatrix:
     adj, d = _adjugate(X)
     if d == 0:
         raise SingularInputError("matrix is singular")
-    integral = _membership_test(((0,) * n,) * n, _int_valuation(d, p), p)
+    # p^v(det X) divides every entry of X D adj(X) exactly when it divides their gcd
+    q = p ** _int_valuation(d, p)
     for bits in itertools.product((0, 1), repeat=n):
         XD = [tuple([x * b for x, b in zip(row, bits)]) for row in X]
-        if not integral(_mul_rows(XD, adj)):
+        if math.gcd(*itertools.chain.from_iterable(_mul_rows(XD, adj))) % q:
             return LocalMatrix.diagonal(bits, p)
     raise AlreadyDiagonalError(
         "every 0/1 diagonal conjugates integrally; the form is diagonal"

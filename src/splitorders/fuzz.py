@@ -131,7 +131,7 @@ class FuzzConfig(FrozenRecord):
         if entry_min > entry_max:
             raise ValueError("entry range is empty")
         if n_max < 2:
-            raise ValueError("need 2 <= n_min <= n_max")
+            raise ValueError("need 2 <= n_max")
         if n_max > MAX_DIMENSION:
             raise ValueError(f"dimensions above {MAX_DIMENSION} are not supported")
         prime = check_prime(prime)

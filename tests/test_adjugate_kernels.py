@@ -29,7 +29,6 @@ from splitorders.dvr import (
     HermiteForm,
     LocalMatrix,
     _divisor_exponents,
-    _membership_test,
     _mul_rows,
     _triple_product,
     diagonal_witness,
@@ -263,7 +262,7 @@ def test_hermite_transform_over_a_unit_denominator():
 
 
 # ---------------------------------------------------------------------------
-# membership through the cached test per (bounds, v(den), p)
+# membership tested on the raw pull-back over v(den)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -295,19 +294,15 @@ def test_general_membership_matches_the_fraction_pull_back(p):
     assert outcomes == {True, False}
 
 
-def test_membership_calls_read_one_cached_test_per_valuation():
+def test_membership_answers_leave_the_order_slotted():
     """An order holds its apartment and exponents and nothing else, before
-    and after membership calls; the calls read one cached test per
-    valuation of the pull-back denominator."""
+    and after membership calls, and repeated calls give the same answers."""
     S = GeneralSplitOrder(Apartment.standard(2, 3),
                           intersect_maximal([ApartmentVertex([0, 1])]))
     assert GeneralSplitOrder.__slots__ == ("apartment", "nu")
     cases = (([[1, Fraction(1, 9)], [3, 1]], False), ([[1, Fraction(1, 3)], [3, 1]], True))
-    _membership_test.cache_clear()
     for _ in range(3):
         for rows, want in cases:
             assert frac_within([[Fraction(x) for x in row] for row in rows], S.nu.entries, 3) is want
             assert general_membership(S, LocalMatrix(rows, 3)) is want
-    info = _membership_test.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
     assert not hasattr(S, "__dict__")

@@ -436,7 +436,7 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys, stdin, code):
 
 
 BOUND = 3317044064679887385961981
-NEED_N = "need 2 <= n_min <= n_max"
+NEED_N = "need 2 <= n_max"
 ABOVE_6 = "dimensions above 6 are not supported"
 
 

@@ -1,13 +1,15 @@
 """Membership tested on raw integer rows over a denominator.
 
-``dvr._membership_test`` reads valuations off numerators that need not
-be in lowest terms with their denominator, given that denominator's
-valuation; these tests hold it and the membership tests built on it to
-a Fraction oracle that reduces every entry first.  They also pin the
-written-out lowest-terms division and the argument checks of
-``ring_closure_check``.
+``dvr._within`` and the predicate ``dvr._membership_test`` builds read
+valuations off numerators that need not be in lowest terms with their
+denominator, given that denominator's valuation; these tests hold them
+and the membership tests built on them to a Fraction oracle that reduces
+every entry first.  They also pin the written-out lowest-terms division
+and the argument checks of ``ring_closure_check``.
 """
 
+import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -52,9 +54,13 @@ def _near_bounds(rng, fracs, p):
     ]
 
 
+def _vden(den, p):
+    return padic_valuation(Fraction(den), p)
+
+
 def _test(bounds, den, p):
-    """The cached predicate for ``bounds`` over a denominator ``den``."""
-    return dvr._membership_test(tuple(map(tuple, bounds)), padic_valuation(Fraction(den), p), p)
+    """The predicate built for ``bounds`` over a denominator ``den``."""
+    return dvr._membership_test(tuple(map(tuple, bounds)), _vden(den, p), p)
 
 
 def _raw(fracs, extra):
@@ -79,6 +85,7 @@ def test_raw_test_matches_fraction_oracle(p):
             for extra in (1, p, p**3, 6 * p, 35):
                 rows, den = _raw(fracs, extra)
                 assert _test(bounds, den, p)(rows) == want
+                assert dvr._within(rows, bounds, _vden(den, p), p) == want
     assert outcomes == {True, False}
 
 
@@ -112,6 +119,7 @@ def test_raw_test_on_single_entries_matches_fraction_oracle(p):
             for den in (1, p, p**2 * 3):
                 want = frac_within([[Fraction(x, den)]], [[k]], p)
                 assert _test([[k]], den, p)([[x]]) == want
+                assert dvr._within([[x]], [[k]], _vden(den, p), p) == want
 
     class Unread:
         def __iter__(self):
@@ -119,12 +127,13 @@ def test_raw_test_on_single_entries_matches_fraction_oracle(p):
 
     # entry (0, 0) fails, so the row after it is never read
     assert _test([[1, 0], [0, 0]], 1, p)([[1, 0], Unread()]) is False
+    assert dvr._within([[1, 0], Unread()], [[1, 0], [0, 0]], 0, p) is False
 
 
 def test_large_exponents_build_no_modulus_past_a_failing_entry():
     """At p = 3 a bound of 10^6 asks for a modulus of about 198 KB.  A
     matrix whose entry (0, 0) fails is refused without building it, and
-    the moduli of a passing call, past 4096 bits, are not kept."""
+    a passing call keeps nothing once it returns."""
     big = 10**6
     nu = ExponentMatrix([[0, big], [big, 0]])
     fails = LocalMatrix([[Fraction(1, 3), 0], [0, 1]], 3)
@@ -143,9 +152,63 @@ def test_large_exponents_build_no_modulus_past_a_failing_entry():
     assert kept < 50_000
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_a_huge_bound_refuses_a_short_entry_without_its_modulus(p):
+    """A bound of 10^7 on entry 1 asks for p^(10^7), 1.25 MB at p = 2 and
+    more above it; since p^k > |x| once k (p.bit_length() - 1) reaches
+    x's bit length, the entry is refused without forming it."""
+    big = 10**7
+    A = LocalMatrix([[1, 1], [1, 1]], p)
+    nu = ExponentMatrix([[0, big], [0, 0]])
+    far = ApartmentVertex([0, -big])
+    S = GeneralSplitOrder(Apartment.standard(2, p), intersect_maximal([far]))
+    tracemalloc.start()
+    try:
+        assert in_split_order(A, nu) is False
+        assert lambda_membership(A, far) is False
+        assert general_membership(S, A) is False
+        assert dvr._within([[0, 0], [0, 0]], nu.entries, 0, p) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_membership_calls_keep_no_memory():
+    """Each membership test is built inside its call and goes with it:
+    5000 calls of each kind on distinct random orders leave the traced
+    memory where it started."""
+    rng = random.Random(29)
+    apartments = {(n, p): Apartment.standard(n, p) for n in (2, 3, 4) for p in PRIMES}
+
+    def calls(count):
+        for t in range(count):
+            p, n = PRIMES[t % len(PRIMES)], 2 + t % 3
+            v = ApartmentVertex([rng.randint(-40, 40) for _ in range(n)])
+            nu = intersect_maximal([v])
+            A = LocalMatrix([[Fraction(rng.randint(-50, 50), rng.choice((1, p)))
+                              for _ in range(n)] for _ in range(n)], p)
+            in_split_order(A, nu)
+            lambda_membership(A, v)
+            general_membership(GeneralSplitOrder(apartments[n, p], nu), A)
+
+    calls(50)  # load whatever the first calls import
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        calls(5000)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_membership_tests_match_fraction_oracle(p):
     rng = random.Random(2000 + p)
+    seen = set()  # (kind of entry, outcome of its matrix) pairs met
     for n in (2, 3, 4):  # exponent matrices and vertices have n >= 2
         for _ in range(60):
             fracs = [[_entry(rng, p) for _ in range(n)] for _ in range(n)]
@@ -157,6 +220,16 @@ def test_membership_tests_match_fraction_oracle(p):
             v = ApartmentVertex([rng.randint(-3, 3) for _ in range(n)])
             by_vertex = [[mi - mj for mj in v.m] for mi in v.m]
             assert lambda_membership(A, v) == frac_within(fracs, by_vertex, p)
+            # the single pass on raw rows, in lowest terms or not
+            for extra in (1, p, 6 * p):
+                rows, den = _raw(fracs, extra)
+                for want_bounds in (bounds, by_vertex):
+                    want = frac_within(fracs, want_bounds, p)
+                    assert dvr._within(rows, want_bounds, _vden(den, p), p) == want
+                    ks = [b + _vden(den, p) for b in itertools.chain.from_iterable(want_bounds)]
+                    seen.update(("zero" if x == 0 else "k <= 0" if k <= 0 else "k > 0", want)
+                                for x, k in zip(itertools.chain.from_iterable(rows), ks))
+    assert seen == {(case, want) for case in ("zero", "k <= 0", "k > 0") for want in (True, False)}
 
 
 def _invertible(rng, n, p):

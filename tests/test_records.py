@@ -372,8 +372,8 @@ def test_local_scalar_validation(value, prime, error, message):
         ({"trials": 0}, "trial count must be >= 1"),
         ({"trials": -5}, "trial count must be >= 1"),
         ({"entry_min": 3, "entry_max": -3}, "entry range is empty"),
-        ({"n_max": 1}, "need 2 <= n_min <= n_max"),
-        ({"n_max": -2}, "need 2 <= n_min <= n_max"),
+        ({"n_max": 1}, "need 2 <= n_max"),
+        ({"n_max": -2}, "need 2 <= n_max"),
         ({"n_max": 7}, "dimensions above 6 are not supported"),
         ({"prime": 4}, "4 is not prime"),
         ({"prime": 1}, "prime must be >= 2, got 1"),
@@ -385,8 +385,8 @@ def test_local_scalar_validation(value, prime, error, message):
         ),
         ({"entry_min": 3, "entry_max": -3, "n_max": 9, "prime": 4}, "entry range is empty"),
         ({"n_max": 9, "prime": 4}, "dimensions above 6 are not supported"),
-        ({"n_max": 1, "prime": 4}, "need 2 <= n_min <= n_max"),
-        ({"n_max": -8, "prime": 9}, "need 2 <= n_min <= n_max"),
+        ({"n_max": 1, "prime": 4}, "need 2 <= n_max"),
+        ({"n_max": -8, "prime": 9}, "need 2 <= n_max"),
         (
             {"entry_max": 50},
             "entry range too wide: a region box at n = 4 can have 1030301 cells, "
