@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 import random
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ._record import Frozen, FrozenRecord
 from .errors import (
@@ -61,12 +61,27 @@ def Fraction(*args):
 _RationalLike = Union[int, str, "Fraction"]
 
 
-def _exact(x, noun: str = "entry"):
-    """x, or the int an integral float stands for; a bool or a
-    non-integral float raises, as an exponent entry does."""
+def _exact(x, noun: str = "entry") -> "Fraction":
+    """The Fraction that x, an int, Fraction, integral float or rational
+    string, stands for; a bool or a non-integral float raises, as an
+    exponent entry does.
+
+    A string raises ValueError, with ``noun`` naming it, when it has a
+    zero denominator or a decimal exponent past 4300 in magnitude: the
+    interpreter reads no integer of more than 4300 digits from a string
+    either, and "1e10000000" would otherwise build a 33-million-bit one.
+    """
     if isinstance(x, (bool, float)):
-        return _as_int(x, noun)
-    return x
+        x = _as_int(x, noun)
+    elif isinstance(x, str):
+        _, e, exponent = x.rstrip().lower().rpartition("e")
+        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > 4300):
+            raise ValueError(f"{noun} {x!r} has an exponent past 4300")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{noun} {x!r} has a zero denominator") from None
 
 
 # The least strong pseudoprime to all of the first 13 prime bases (2 to 41)
@@ -145,7 +160,7 @@ def _fraction_valuation(f: "Fraction", p: int):
 def rational_valuation(value: _RationalLike, prime: int):
     """p-adic valuation of an exact rational; zero has infinite valuation."""
     prime = check_prime(prime)
-    return _fraction_valuation(Fraction(_exact(value, "value")), prime)
+    return _fraction_valuation(_exact(value, "value"), prime)
 
 
 class LocalScalar(FrozenRecord):
@@ -156,7 +171,7 @@ class LocalScalar(FrozenRecord):
     def __init__(self, value: _RationalLike, prime: int):
         # a Fraction, as every arithmetic result is, is kept as it is
         if type(value) is not Fraction:
-            value = Fraction(_exact(value, "value"))
+            value = _exact(value, "value")
         self._set(value, check_prime(prime))
 
     def valuation(self):
@@ -176,7 +191,7 @@ class LocalScalar(FrozenRecord):
                     f"prime mismatch: {self.prime} vs {other.prime}"
                 )
             return other.value
-        return Fraction(_exact(other, "operand"))
+        return _exact(other, "operand")
 
     def __add__(self, other):
         return LocalScalar(self.value + self._coerce(other), self.prime)
@@ -441,7 +456,7 @@ class LocalMatrix(Frozen):
             den, nums = 1, tuple(rows)
         else:
             # the lcm of reduced denominators leaves the pair in lowest terms
-            fracs = [[Fraction(_exact(x)) for x in row] for row in rows]
+            fracs = [[_exact(x) for x in row] for row in rows]
             den = math.lcm(*(f.denominator for row in fracs for f in row))
             nums = tuple(
                 tuple(f.numerator * (den // f.denominator) for f in row)
@@ -570,7 +585,7 @@ class LocalMatrix(Frozen):
         )
 
     def scale(self, c: _RationalLike) -> "LocalMatrix":
-        f = Fraction(_exact(c, "scale"))
+        f = _exact(c, "scale")
         rows = tuple(tuple(x * f.numerator for x in row) for row in self.nums)
         return _lowest_terms(rows, self.den * f.denominator, self.prime)
 
@@ -922,29 +937,6 @@ def _unit_table(p: int) -> tuple[int, ...]:
     return tuple([rule[r] for r in range(1 << rule.bound.bit_length())])
 
 
-def _exact_units(rng: random.Random, p: int, count: int) -> list[int]:
-    """``count`` units, each uniform on [1, p^4] and prime to p, drawn as
-    ``randint(1, p^4)`` redrawn while p divides it.
-
-    That is u = ``_below(rng.getrandbits, p^4) + 1``, redrawn while p | u:
-    one word of k bits, k the bit length of p^4, per draw, which
-    ``_UnitRule(p)`` accepts or rejects.  Each word is looked up in
-    ``_unit_table(p)``, or past _TABLE_BITS in the rule itself, so the
-    reader reads the same words, and the units and the state left behind
-    are the stream's.
-    """
-    k = (p**4).bit_length()
-    units = _unit_table(p) if k <= _TABLE_BITS else _UnitRule(p)
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        u = units[getrandbits(k)]
-        while not u:
-            u = units[getrandbits(k)]
-        out.append(u)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _byte_table(p: int) -> tuple[bytes, bytes]:
     """``(table, reject)`` for a prime with p^4 < 2^8 (2 and 3): ``table``
@@ -956,34 +948,40 @@ def _byte_table(p: int) -> tuple[bytes, bytes]:
     return table, bytes([b for b in range(256) if not table[b]])
 
 
-def _unit_blocks(rng: random.Random, p: int, sizes: Iterable[int]):
-    """Successive blocks of units, one of each length in ``sizes``, that
-    together are the units ``_exact_units`` reads from ``rng``, in order.
+def _exact_units(rng: random.Random, p: int, count: int) -> Sequence[int]:
+    """``count`` units, each uniform on [1, p^4] and prime to p, drawn as
+    ``randint(1, p^4)`` redrawn while p divides it: the units and the
+    state left behind are the stream's.
 
-    At p >= 5 each block is ``_exact_units(rng, p, size)``.  At p^4 < 2^8
-    words are read w at a time: ``getrandbits(32 w)`` is w successive
-    words, the first one least significant, so byte 4 i + 3 of its
-    little-endian bytes is word i's top byte, whose top k bits are what
-    ``getrandbits(k)`` gives for that word.  One ``translate`` drops the
-    bytes of rejected words and maps the rest to their units (bytes, as
-    p^4 < 2^8).  Words are read ahead of the units handed out, so ``rng``
-    is left in no stated state: give only a generator nothing else reads.
+    That is u = ``_below(rng.getrandbits, p^4) + 1``, redrawn while p | u:
+    one word of k bits, k the bit length of p^4, per draw, which
+    ``_UnitRule(p)`` accepts or rejects.  At p^4 < 2^8, for a generator
+    that reads its words as ``random.Random`` does, the units come as
+    bytes: while w are missing, one ``getrandbits(32 w)`` gives the next w
+    words, the first one least significant, so the top k bits of byte
+    4 i + 3 of its little-endian bytes are word i's draw, and one
+    ``translate`` drops rejected words and maps the rest to units.  A word
+    gives at most one unit, so no word past the last unit is read.
+    Otherwise each word is looked up in ``_unit_table(p)``, or past
+    _TABLE_BITS in the rule itself.
     """
-    if p**4 >= 256:
-        for size in sizes:
-            yield _exact_units(rng, p, size)
-        return
-    table, reject = _byte_table(p)
-    spare = b""
-    for size in sizes:
-        while len(spare) < size:
-            # the words the missing units take at the acceptance rate, plus
-            # a margin, so that one read mostly suffices
-            w = (size - len(spare)) * 256 // (256 - len(reject)) + 64
-            words = rng.getrandbits(32 * w).to_bytes(4 * w, "little")
-            spare += words[3::4].translate(table, reject)
-        yield spare[:size]
-        spare = spare[size:]
+    k = (p**4).bit_length()
+    if k <= 8 and type(rng).getrandbits is random.Random.getrandbits:
+        table, reject = _byte_table(p)
+        out = b""
+        while len(out) < count:
+            w = count - len(out)
+            out += rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(table, reject)
+        return out
+    units = _unit_table(p) if k <= _TABLE_BITS else _UnitRule(p)
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        u = units[getrandbits(k)]
+        while not u:
+            u = units[getrandbits(k)]
+        out.append(u)
+    return out
 
 
 def _sharp_scales(nu: ExponentMatrix, p: int) -> tuple[tuple[int, ...], int]:
@@ -1026,11 +1024,9 @@ def ring_closure_check(
     p^{nu[k][j]} E(k, j).
 
     Pairs are drawn as by ``sample_split_order_element`` from
-    ``random.Random(seed)``: the sampled values and the witness are those
-    of the ``randint`` stream, so a seed replays them.  That generator is
-    the function's own and is read in blocks of _BLOCK_TRIALS trials, at
-    p = 2 and 3 ahead of the units it uses (``_unit_blocks``); it is
-    dropped on return, so nothing observes the words read ahead.
+    ``random.Random(seed)``, through ``_exact_units`` in blocks of
+    _BLOCK_TRIALS trials, so the sampled values and the witness are those
+    of the ``randint`` stream and a seed replays them.
 
     ``trials`` and ``seed`` are ints (an integral float reads as one; a
     bool or another non-integer raises TypeError), and ``trials`` must be
@@ -1051,10 +1047,9 @@ def ring_closure_check(
     n = nu.n
     # every product is an integer matrix over den^2, tested as it stands
     within = _membership_test(nu.entries, 2 * _int_valuation(den, p), p)
-    sizes = (
-        2 * len(scales) * min(_BLOCK_TRIALS, trials - t) for t in range(0, trials, _BLOCK_TRIALS)
-    )
-    for units in _unit_blocks(random.Random(seed), p, sizes):
+    rng = random.Random(seed)
+    for t in range(0, trials, _BLOCK_TRIALS):
+        units = _exact_units(rng, p, 2 * len(scales) * min(_BLOCK_TRIALS, trials - t))
         entries = map(operator.mul, units, itertools.cycle(scales))
         matrices = zip(*[zip(*[entries] * n)] * n)
         for a, b in zip(matrices, matrices):

@@ -1,5 +1,6 @@
-"""The word layout that ``dvr._unit_blocks`` reads in bulk, checked on the
-running interpreter; needs no pytest.
+"""The word layout that ``dvr._exact_units`` reads in bulk at p = 2 and 3,
+and its units against ``randint``, checked on the running interpreter;
+needs no pytest.
 
     PYTHONPATH=src python tests/_word_stream.py
 
@@ -10,11 +11,11 @@ prints the mismatches of each check and exits 1 if there are any.
 import random
 import sys
 
-from splitorders.dvr import _exact_units, _unit_blocks
+from splitorders.dvr import _exact_units
 
 PRIMES = (2, 3, 5, 7, 257)  # 2 and 3 are read in bulk, the rest word by word
 SEEDS = range(40)
-COUNTS = (1, 2, 17, 300, 2000)
+COUNTS = (0, 1, 2, 17, 300, 2000)
 
 
 def layout_mismatches(seeds=SEEDS, widths=(1, 2, 7, 64)) -> int:
@@ -35,22 +36,38 @@ def layout_mismatches(seeds=SEEDS, widths=(1, 2, 7, 64)) -> int:
     return bad
 
 
+def randint_units(rng, p, count) -> list:
+    """``count`` draws of ``rng.randint(1, p^4)``, each redrawn while p
+    divides it."""
+    out = []
+    while len(out) < count:
+        u = rng.randint(1, p**4)
+        if u % p:
+            out.append(u)
+    return out
+
+
 def bulk_mismatches(primes=PRIMES, seeds=SEEDS, counts=COUNTS) -> int:
-    """Compare the units of ``_unit_blocks``, over blocks of uneven sizes
-    (an empty one among them), with ``count`` units of ``_exact_units``."""
+    """Compare ``_exact_units`` with ``randint_units``, on the units and on
+    the state left behind; and successive ``_exact_units`` calls on one
+    generator, of uneven counts with an empty one among them, with one
+    call for the summed count."""
     bad = 0
     for p in primes:
         for seed in seeds:
             for count in counts:
-                sizes = (count // 3, 0, 1, count - count // 3 - 1)
-                blocks = list(_unit_blocks(random.Random(seed), p, sizes))
+                ours, theirs = random.Random(seed), random.Random(seed)
+                bad += list(_exact_units(ours, p, count)) != randint_units(theirs, p, count)
+                bad += ours.getstate() != theirs.getstate()
+                sizes = (count // 3, 0, count - count // 3)
+                blocks = [_exact_units(theirs, p, size) for size in sizes]
                 bad += [len(block) for block in blocks] != list(sizes)
-                got = [u for block in blocks for u in block]
-                bad += got != _exact_units(random.Random(seed), p, count)
+                bad += [u for block in blocks for u in block] != list(_exact_units(ours, p, count))
+                bad += ours.getstate() != theirs.getstate()
     return bad
 
 
 if __name__ == "__main__":
     layout, bulk = layout_mismatches(), bulk_mismatches()
-    print(f"Python {sys.version.split()[0]}: {layout} layout and {bulk} bulk-reader mismatches")
+    print(f"Python {sys.version.split()[0]}: {layout} layout and {bulk} unit-reader mismatches")
     sys.exit(1 if layout or bulk else 0)

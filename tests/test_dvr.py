@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -107,6 +109,50 @@ def test_local_matrix_reads_integral_floats_fractions_and_rational_strings():
     assert LocalScalar(4.0, 2) == LocalScalar(4, 2)
     assert LocalScalar("1/3", 3).valuation() == -1
     assert (LocalScalar(1, 2) + 1.0).value == 2
+    # an exponent of 4300 in magnitude, the largest read, is read exactly
+    assert LocalMatrix([["1e4300"]], 2).entry(0, 0) == 10**4300
+    assert LocalMatrix([["-2.5E-4300"]], 5).entry(0, 0) == Fraction(-25, 10**4301)
+    assert LocalScalar("1e000005", 2).value == 10**5
+    assert rational_valuation("3e4300", 5) == 4300
+
+
+_STRING_READERS = {
+    "LocalMatrix": lambda s: LocalMatrix([[s]], 2),
+    "LocalMatrix.from_json_dict": lambda s: LocalMatrix.from_json_dict(
+        {"entries": [[s]], "prime": 2}
+    ),
+    "GeneralSplitOrder.from_json_dict": lambda s: GeneralSplitOrder.from_json_dict(
+        {"gamma": [[1, s], [0, 1]], "prime": 2, "nu": {"n": 2, "nu": [[0, 0], [0, 0]]}}
+    ),
+    "LocalScalar": lambda s: LocalScalar(s, 2),
+    "LocalMatrix.scale": lambda s: LocalMatrix.identity(2, 2).scale(s),
+    "rational_valuation": lambda s: rational_valuation(s, 2),
+}
+
+
+@pytest.mark.parametrize("reader", _STRING_READERS.values(), ids=_STRING_READERS)
+def test_a_string_with_a_zero_denominator_raises_value_error(reader):
+    """"1/0" used to raise ZeroDivisionError from Fraction."""
+    for s in ("1/0", " -3/00 "):
+        with pytest.raises(ValueError) as info:
+            reader(s)
+        assert type(info.value) is ValueError
+        assert str(info.value).endswith(f"{s!r} has a zero denominator")
+
+
+@pytest.mark.parametrize("s", ["1e10000000", "1e-10000000", "1E+0_000_4301"])
+def test_a_string_exponent_past_4300_is_refused_at_once(s):
+    """"1e10000000" used to take seconds to build a 33-million-bit integer."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="has an exponent past 4300"):
+            LocalMatrix([[s]], 2)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 64 * 1024, (elapsed, peak)
 
 
 @pytest.mark.parametrize(
@@ -182,6 +228,9 @@ def test_scalar_arithmetic():
     assert not LocalScalar(Fraction(6), 2).in_ideal(2)
     assert LocalScalar(Fraction(0), 2).in_ideal(10)
     assert (a / b).value == 3 and (a / 2).value == Fraction(3, 8)
+    for zero in (0, "0", "0/5", Fraction(0), LocalScalar(0, 2)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
     assert (-a).value == Fraction(-3, 4) and (-a).prime == 2
     assert str(a) == "3/4 (v_2 = -2)"
 

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from _oracles import frac_matmul, frac_ring_closure, frac_sharp_sample, padic_valuation
-from _word_stream import bulk_mismatches, layout_mismatches
+from _word_stream import bulk_mismatches, layout_mismatches, randint_units
 from splitorders import dvr
 from splitorders.dvr import (
     LocalMatrix,
@@ -139,13 +139,33 @@ def test_ring_closure_sampled_witness_matches_fraction_reference(monkeypatch):
 
 
 def test_getrandbits_blocks_are_successive_words_least_significant_first():
-    """``dvr._unit_blocks`` reads the words of ``getrandbits(k)``, k <= 8,
+    """``dvr._exact_units`` reads the words of ``getrandbits(k)``, k <= 8,
     off the top bytes of one ``getrandbits(32 w)``."""
     assert layout_mismatches() == 0
 
 
 def test_bulk_units_are_the_exact_readers_units():
+    """``dvr._exact_units`` gives the units and the state of a ``randint``
+    loop, also when read in successive calls, as ``ring_closure_check``
+    reads it."""
     assert bulk_mismatches() == 0
+
+
+class _LowBitFlip(random.Random):
+    """Reads its words through its own getrandbits, lowest bit flipped."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ 1
+
+
+def test_units_of_a_generator_with_its_own_getrandbits_are_its_randint_units():
+    """Its ``getrandbits(32 w)`` need not be w of its ``getrandbits(k)``
+    words, so it is read word by word, at p = 2 and 3 too."""
+    for p in (2, 3, 5):
+        for seed in range(5):
+            ours, theirs = _LowBitFlip(seed), _LowBitFlip(seed)
+            assert list(dvr._exact_units(ours, p, 300)) == randint_units(theirs, p, 300)
+            assert ours.getstate() == theirs.getstate()
 
 
 def _ring_peak(nu, trials):

@@ -1,9 +1,10 @@
 """``ring_closure_check`` against its Fraction reference on random orders,
 with trial counts on both sides of the draw's block boundary.
 
-The check reads its own generator ``dvr._BLOCK_TRIALS`` trials at a time,
-at p = 2 and 3 in bulk and ahead of the units it uses; the samples and the
-witness must still be those of the ``randint`` stream.
+The check reads its generator ``dvr._BLOCK_TRIALS`` trials at a time
+through ``dvr._exact_units``, the one unit reader, in bulk at p = 2 and 3
+and exact at every p; the samples and the witness must be those of the
+``randint`` stream.
 """
 
 import itertools
